@@ -8,16 +8,16 @@ Definitions, as ordinary generating functions:
   (every part in three colors, parts divisible by l in three more)
 
 All three reduce to one shared dense expansion of 1/E(q)^3 followed by a
-single sparse multiply or divide, so the caches below hold one long array
-per (kind, l).  A deliberately dumb unbounded-knapsack enumerator over
-colored parts provides the independent oracle for small n; it shares no
-code with the series route.
+single sparse multiply or divide.  The exact and the reduced engine below
+each keep that base and their most recent (kind, l) expansion.  A
+deliberately dumb unbounded-knapsack enumerator over colored parts
+provides the independent oracle for small n; it shares no code with the
+series route.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,23 +50,26 @@ class CountingFunction:
         return self.kind.value if self.ell is None else f"{self.kind.value}({self.ell})"
 
 
-# -- exact engine ------------------------------------------------------
+# -- the two engines ---------------------------------------------------
+#
+# Each engine keeps its base 1/E(q)^3 and the values of the most recent
+# (kind, l) it expanded.  Callers that group their requests by key and
+# ask for each key's largest order first (the suite runner does) expand
+# every key once and build each base once.
 
 _lock = threading.Lock()
 _inv_cube: list[int] = [1]  # coefficients of 1/E(q)^3, grown on demand
-# bounded: exact expansions of the parameterized functions are wide (one
-# long list of huge integers each), so only the most recent few stay live
-_exact_cache: "OrderedDict[tuple[Kind, int | None], list[int]]" = OrderedDict()
-_EXACT_CACHE_SLOTS = 12
+_exact_last: tuple = (None, None)
+_mod_base = np.ones(1, dtype=np.int64)  # 1/E(q)^3 mod 3^STANDARD_EXPONENT
+_mod_last: tuple = (None, None)
 
 
 def _inv_cube_exact(order: int) -> list[int]:
-    """1/E(q)^3 to `order`, by back-substitution against the sparse cube.
+    """1/E(q)^3 to at least `order`, by back-substitution against the sparse cube.
 
-    The recurrence only ever looks backwards, so the cached list is
-    extended in place instead of being recomputed.
+    The recurrence only ever looks backwards, so the list is extended in
+    place instead of being recomputed.
     """
-    global _inv_cube
     b = _inv_cube
     if len(b) < order:
         terms = jacobi_cube_terms(1, order)[1:]
@@ -77,31 +80,33 @@ def _inv_cube_exact(order: int) -> list[int]:
                     break
                 acc -= c * b[n - g]
             b.append(acc)
-    return b[:order]
+    return b
+
+
+def _expand(fn: CountingFunction, base, order: int, mul, solve, *mod):
+    """The counting function from its base: P3 is the base itself, the
+    regular triple multiplies it by E(q^l)^3, the two-color triple divides
+    it by E(q^l)^3."""
+    if fn.kind is Kind.P3:
+        return base
+    terms = jacobi_cube_terms(fn.ell, order)
+    if fn.kind is Kind.REGULAR_TRIPLE:
+        return mul(base, terms, order, *mod)
+    return solve(terms, base, order, *mod)
 
 
 def count_values(fn: CountingFunction, order: int) -> list[int]:
     """Exact coefficients 0..order-1 of the counting function."""
+    global _exact_last
     if order < 1:
         raise ValueError("order must be >= 1")
+    key = (fn.kind, fn.ell)
     with _lock:
-        key = (fn.kind, fn.ell)
-        cached = _exact_cache.get(key)
-        if cached is not None and len(cached) >= order:
-            _exact_cache.move_to_end(key)
-            return cached[:order]
-        base = _inv_cube_exact(order)
-        if fn.kind is Kind.P3:
-            return base[:order]
-        if fn.kind is Kind.REGULAR_TRIPLE:
-            vals = mul_sparse(base[:order], jacobi_cube_terms(fn.ell, order), order)
-        else:
-            vals = solve_monic_sparse(jacobi_cube_terms(fn.ell, order), base[:order], order)
-        _exact_cache[key] = vals
-        _exact_cache.move_to_end(key)
-        while len(_exact_cache) > _EXACT_CACHE_SLOTS:
-            _exact_cache.popitem(last=False)
-        return vals
+        last, vals = _exact_last
+        if last != key or len(vals) < order:
+            vals = _expand(fn, _inv_cube_exact(order), order, mul_sparse, solve_monic_sparse)
+            _exact_last = (key, vals)
+        return vals[:order]
 
 
 def count_series(fn: CountingFunction, order: int) -> TruncatedSeries:
@@ -109,44 +114,31 @@ def count_series(fn: CountingFunction, order: int) -> TruncatedSeries:
     return TruncatedSeries(0, count_values(fn, order), order)
 
 
-# -- reduced engine ----------------------------------------------------
-
-_mod_cache: dict[tuple[Kind, int | None], np.ndarray] = {}
-
-
 def count_values_mod(fn: CountingFunction, order: int, exponent: int = modseries.STANDARD_EXPONENT) -> np.ndarray:
     """Coefficients 0..order-1 reduced mod 3**exponent.
 
-    One array per (kind, l) is cached at the standard exponent; requests
-    at a smaller exponent reduce the cached residues.
+    Values are kept at the standard exponent; requests at a smaller
+    exponent reduce them.
     """
+    global _mod_base, _mod_last
     if order < 1:
         raise ValueError("order must be >= 1")
     if exponent > modseries.STANDARD_EXPONENT:
         raise ValueError(f"exponent {exponent} above the standard reduced precision")
     mod_std = 3**modseries.STANDARD_EXPONENT
+    key = (fn.kind, fn.ell)
     with _lock:
-        key = (fn.kind, fn.ell)
-        arr = _mod_cache.get(key)
-        if arr is None or len(arr) < order:
-            one = np.zeros(1, dtype=np.int64)
-            one[0] = 1
-            base = modseries.solve_monic_sparse_mod(jacobi_cube_terms(1, order), one, order, mod_std)
-            if fn.kind is Kind.P3:
-                arr = base
-            elif fn.kind is Kind.REGULAR_TRIPLE:
-                arr = modseries.mul_sparse_mod(base, jacobi_cube_terms(fn.ell, order), order, mod_std)
-            else:
-                arr = modseries.solve_monic_sparse_mod(jacobi_cube_terms(fn.ell, order), base, order, mod_std)
-            _mod_cache[key] = arr
+        last, arr = _mod_last
+        if last != key or len(arr) < order:
+            if len(_mod_base) < order:
+                one = np.ones(1, dtype=np.int64)
+                _mod_base = modseries.solve_monic_sparse_mod(jacobi_cube_terms(1, order), one, order, mod_std)
+            arr = _expand(fn, _mod_base, order, modseries.mul_sparse_mod,
+                          modseries.solve_monic_sparse_mod, mod_std)
+            _mod_last = (key, arr)
     if exponent == modseries.STANDARD_EXPONENT:
         return arr[:order]
     return arr[:order] % (3**exponent)
-
-
-def warm_mod_cache(fn: CountingFunction, order: int) -> None:
-    """Pre-extend the reduced cache so later calls only slice."""
-    count_values_mod(fn, order)
 
 
 # -- independent oracle ------------------------------------------------

@@ -9,18 +9,23 @@ bounded by mod + terms * mod^2, which must stay below 2^63.  Callers are
 checked against that bound and must lower E or fall back to exact
 arithmetic when it fails (it never triggers at this package's scales:
 E = 15 sustains ~44000 sparse terms).
+
+`BACKEND` names the kernels in use: "numba" when numba is importable,
+otherwise "python", whose first use prints one line on stderr.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
 try:  # pragma: no cover - exercised implicitly by which path runs
     from numba import njit
 
-    _HAVE_NUMBA = True
+    BACKEND = "numba"
 except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
+    BACKEND = "python"
 
 # residues mod 3^15 cover every exponent the verifier asks about (max 12)
 # with room for largest-holding-exponent diagnostics
@@ -52,7 +57,7 @@ def _mul_py(dense, gaps, coeffs, mod):
     return out
 
 
-if _HAVE_NUMBA:
+if BACKEND == "numba":
 
     @njit(cache=True, nogil=True)
     def _solve_nb(gaps, coeffs, rhs, mod):  # pragma: no cover - compiled
@@ -83,6 +88,17 @@ if _HAVE_NUMBA:
 else:
     _solve_impl, _mul_impl = _solve_py, _mul_py
 
+_fallback_announced = False
+
+
+def _announce_backend() -> None:
+    """Say once per process that the slow pure-Python kernels are running."""
+    global _fallback_announced
+    if BACKEND == "python" and not _fallback_announced:
+        _fallback_announced = True
+        print("q3series: numba is not installed; the reduced mod-3^15 engine runs its much "
+              "slower pure-Python kernels (install the q3series[fast] extra)", file=sys.stderr)
+
 
 def _prepare(terms, mod):
     gaps = np.array([g for g, _ in terms], dtype=np.int64)
@@ -105,6 +121,7 @@ def solve_monic_sparse_mod(terms, rhs: np.ndarray, order: int, mod: int) -> np.n
     gaps, coeffs = _prepare([t for t in terms[1:] if t[0] < order], mod)
     r = np.zeros(order, dtype=np.int64)
     r[: min(len(rhs), order)] = rhs[: min(len(rhs), order)] % mod
+    _announce_backend()
     return _solve_impl(gaps, coeffs, r, mod)
 
 
@@ -113,4 +130,5 @@ def mul_sparse_mod(dense: np.ndarray, terms, order: int, mod: int) -> np.ndarray
     gaps, coeffs = _prepare([t for t in terms if t[0] < order], mod)
     d = np.zeros(order, dtype=np.int64)
     d[: min(len(dense), order)] = dense[: min(len(dense), order)] % mod
+    _announce_backend()
     return _mul_impl(d, gaps, coeffs, mod)

@@ -19,6 +19,7 @@ Index conventions for case parameters:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .arith3 import is_prime, legendre, pi3
-from .counts import CountingFunction, Kind, count_values, count_values_mod, warm_mod_cache
+from .counts import CountingFunction, Kind, count_values, count_values_mod
 from .eta import EtaQuotientSpec, eta_quotient
 from .modseries import STANDARD_EXPONENT
 from .report import FAIL, PASS, SKIPPED, Report
@@ -454,6 +455,12 @@ def _update_min(current, candidate):
     return current
 
 
+def _congruence_expansion(inst: CaseInstance, n_max: int, exact_threshold: int) -> tuple[int, bool]:
+    """(order, exact engine?) of the expansion a congruence check reads."""
+    order = inst.progression.index(n_max) + 1
+    return order, order <= exact_threshold
+
+
 def verify_congruence(case_id: str, params: dict, n_max: int,
                       exact_threshold: int = 50_000) -> Report:
     """Check one congruence family instance for all admissible n <= n_max.
@@ -464,10 +471,9 @@ def verify_congruence(case_id: str, params: dict, n_max: int,
     precision when the fast path was used).
     """
     inst = instantiate(case_id, params)
+    order, exact = _congruence_expansion(inst, n_max, exact_threshold)
     if inst.branch:
-        return _verify_branch_case(inst, n_max, exact_threshold)
-    order = inst.progression.index(n_max) + 1
-    exact = order <= exact_threshold
+        return _verify_branch_case(inst, n_max, order, exact)
     values, capped = _coefficients(inst.fn, order, exact)
     rep = Report(case=inst.case, params=dict(inst.params) | {"n_max": n_max})
     min_val = None
@@ -507,7 +513,7 @@ def _triangular_index(n: int) -> int | None:
     return None
 
 
-def _verify_branch_case(inst: CaseInstance, n_max: int, exact_threshold: int) -> Report:
+def _verify_branch_case(inst: CaseInstance, n_max: int, order: int, exact: bool) -> Report:
     """Two-branch check: on triangular n the coefficient must follow
     c * (-1)^n (2n+1) for one constant c fitted at n = 0, elsewhere vanish.
 
@@ -516,8 +522,6 @@ def _verify_branch_case(inst: CaseInstance, n_max: int, exact_threshold: int) ->
     reported, as is the largest exponent at which the branch structure
     survives.
     """
-    order = inst.progression.index(n_max) + 1
-    exact = order <= exact_threshold
     values, capped = _coefficients(inst.fn, order, exact)
     mod = 3**inst.exponent
     rep = Report(case=inst.case, params=dict(inst.params) | {"n_max": n_max})
@@ -584,9 +588,15 @@ def _rhs_window(identity: GfIdentity, level: int, alpha: int, terms: int) -> lis
     return _weighted_quotient_window(vec, identity.num, identity.den, terms)
 
 
+def _identity_expansion(prog: Progression, terms: int, mode: str,
+                        exact_order_cap: int) -> tuple[int, bool]:
+    """(order, exact engine?) of the expansion an identity check reads."""
+    order = prog.index(terms - 1) + 1
+    return order, mode == "exact" or (mode == "auto" and order <= exact_order_cap)
+
+
 def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
-                       mode: str = "auto", exact_order_cap: int = 80_000,
-                       exact_threshold: int = 50_000) -> Report:
+                       mode: str = "auto", exact_order_cap: int = 80_000) -> Report:
     """Compare a progression generating function with its vector expansion.
 
     Modes: "exact" demands coefficientwise equality; "mod" compares
@@ -600,9 +610,8 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     if identity is None:
         raise KeyError(f"unknown identity {identity_id!r}")
     fn, prog, level, lemma_e, params = identity.instantiate(params)
-    order = prog.index(terms - 1) + 1
+    order, run_exact = _identity_expansion(prog, terms, mode, exact_order_cap)
     rep = Report(case=identity_id, params=dict(params) | {"terms": terms, "mode": mode})
-    run_exact = mode == "exact" or (mode == "auto" and order <= exact_order_cap)
     run_mod = mode in ("mod", "auto")
     alpha = params["alpha"]
     rhs = _rhs_window(identity, level, alpha, terms)
@@ -839,50 +848,44 @@ def _suite_jobs(cfg: SuiteConfig) -> list[tuple[str, str, dict, dict]]:
     return jobs
 
 
-def _warm_caches(cfg: SuiteConfig, jobs) -> None:
-    """Grow each expansion cache once, to its largest demanded order.
+def _expansion(cfg: SuiteConfig, job) -> tuple[CountingFunction, int, bool]:
+    """(function, order, exact engine?) of the expansion a suite job reads."""
+    jkind, jid, params, opts = job
+    if jkind == "congruence":
+        inst = instantiate(jid, params)
+        return (inst.fn, *_congruence_expansion(inst, opts["n_max"], cfg.exact_threshold))
+    fn, prog, _, _, _ = _IDENTITY_BY_ID[jid].instantiate(params)
+    return (fn, *_identity_expansion(prog, cfg.identity_terms, opts["mode"], cfg.identity_exact_cap))
 
-    Caches regrow by recomputation, so without this pass a job list that
-    ratchets the order upward would re-expand the same function several
-    times.
-    """
-    mod_demands: dict[tuple, int] = {}
-    exact_demands: dict[tuple, int] = {}
-    for jkind, jid, params, opts in jobs:
-        try:
-            if jkind == "congruence":
-                inst = instantiate(jid, params)
-                order = inst.progression.index(opts["n_max"]) + 1
-                fn = inst.fn
-                exact = order <= cfg.exact_threshold
-            else:
-                identity = _IDENTITY_BY_ID[jid]
-                fn, prog, _, _, _ = identity.instantiate(params)
-                order = prog.index(cfg.identity_terms - 1) + 1
-                exact = opts["mode"] == "exact" or (
-                    opts["mode"] == "auto" and order <= cfg.identity_exact_cap)
-        except ValueError:
-            continue
-        table = exact_demands if exact else mod_demands
-        key = (fn.kind, fn.ell)
-        table[key] = max(table.get(key, 0), order)
-    order_key = lambda kv: (kv[0][0].value, kv[0][1] or 0)
-    for (kind, ell), order in sorted(exact_demands.items(), key=order_key):
-        count_values(CountingFunction(kind, ell), order)
-    for (kind, ell), order in sorted(mod_demands.items(), key=order_key):
-        warm_mod_cache(CountingFunction(kind, ell), order)
+
+def _error_report(job, exc: ValueError) -> Report:
+    _, jid, params, _ = job
+    rep = Report(case=jid, params=dict(params))
+    rep.extras = {"error": str(exc)}
+    return rep.finalize()
 
 
 def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     """Run the whole catalog over the configured grids.
 
-    Case instances are independent; with cfg.threads > 1 they run on a
-    thread pool after the shared caches are grown serially.  Reports come
-    back sorted by (case id, parameters) regardless of thread count.
+    Jobs are grouped by the expansion they read, (function, engine).
+    Groups run in descending order of their largest order; each expands
+    its function once, at that order, and then runs its jobs (on a thread
+    pool when cfg.threads > 1).  Reports come back sorted by (case id,
+    parameters) regardless of grouping or thread count.
     """
     cfg = cfg or SuiteConfig()
-    jobs = _suite_jobs(cfg)
-    _warm_caches(cfg, jobs)
+    reports: list[Report] = []
+    groups: dict[tuple[CountingFunction, bool], list] = {}
+    largest: dict[tuple[CountingFunction, bool], int] = {}
+    for job in _suite_jobs(cfg):
+        try:
+            fn, order, exact = _expansion(cfg, job)
+        except ValueError as exc:
+            reports.append(_error_report(job, exc))
+            continue
+        groups.setdefault((fn, exact), []).append(job)
+        largest[fn, exact] = max(largest.get((fn, exact), 0), order)
 
     def run_one(job) -> Report:
         jkind, jid, params, opts = job
@@ -890,16 +893,14 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
             if jkind == "congruence":
                 return verify_congruence(jid, params, opts["n_max"], cfg.exact_threshold)
             return verify_gf_identity(jid, params, cfg.identity_terms, opts["mode"],
-                                      cfg.identity_exact_cap, cfg.exact_threshold)
+                                      cfg.identity_exact_cap)
         except ValueError as exc:
-            rep = Report(case=jid, params=dict(params))
-            rep.extras = {"error": str(exc)}
-            return rep.finalize()
+            return _error_report(job, exc)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            reports = list(pool.map(run_one, jobs))
-    else:
-        reports = [run_one(j) for j in jobs]
+    serial = cfg.threads <= 1
+    with contextlib.nullcontext() if serial else ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        for fn, exact in sorted(groups, key=lambda k: (-largest[k], k[0].label(), k[1])):
+            (count_values if exact else count_values_mod)(fn, largest[fn, exact])
+            reports.extend((map if serial else pool.map)(run_one, groups[fn, exact]))
     reports.sort(key=lambda r: (r.case, json.dumps(r.params, sort_keys=True, default=str)))
     return SuiteReport(reports=reports).finalize()

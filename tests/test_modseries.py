@@ -1,5 +1,10 @@
 """Reduced int64 kernels against the exact kernels, and the overflow guard."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,3 +55,22 @@ def test_overflow_guard():
 def test_non_monic_rejected():
     with pytest.raises(ValueError):
         modseries.solve_monic_sparse_mod([(0, 2)], np.ones(4, dtype=np.int64), 4, 27)
+
+
+def test_backend_named_and_fallback_announced_once():
+    assert modseries.BACKEND in ("numba", "python")
+    script = "\n".join([
+        "import sys",
+        "from q3series.counts import CountingFunction, Kind, count_values, count_values_mod",
+        "count_values(CountingFunction(Kind.REGULAR_TRIPLE, 3), 50)",
+        "print('exact done', file=sys.stderr, flush=True)",
+        "count_values_mod(CountingFunction(Kind.REGULAR_TRIPLE, 3), 50)",
+        "count_values_mod(CountingFunction(Kind.TWO_COLOR_TRIPLE, 3), 80)",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(modseries.__file__).parents[1]))
+    err = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stderr.splitlines()
+    assert err[0] == "exact done"
+    notices = err[1:]
+    assert len(notices) == (modseries.BACKEND == "python")
+    assert all("numba" in line for line in notices)

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from q3series import counts, modseries
 from q3series.report import FAIL, PASS, SKIPPED
 from q3series.verifier import (SuiteConfig, _exact_div, catalog, class_members,
                                implied_congruence_holds, instantiate, run_suite,
@@ -211,3 +213,51 @@ class TestSuite:
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             SuiteConfig.from_json('{"bogus": 1}')
+
+
+class TestOneExpansionPerKey:
+    """run_suite expands each (function, engine) once and solves each base once."""
+
+    # 14 exact keys at orders up to 963
+    CFG = dict(alphas=(0, 1), betas=(0,), n_max=3, n_max_small=6, priors_betas=(0,), priors_n_max=6,
+               prime_n_max=3, conjecture_ms=(0,), conjecture_n_max=3, identity_terms=4,
+               class_reps_per_sign=1)
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """Cold engines; every sparse step is logged as (kernel, l, order)."""
+        monkeypatch.setattr(counts, "_exact_last", (None, None))
+        monkeypatch.setattr(counts, "_mod_last", (None, None))
+        monkeypatch.setattr(counts, "_mod_base", np.ones(1, dtype=np.int64))
+        calls = []
+
+        def logged(name, kernel, terms_at):
+            def run(*args):
+                terms = args[terms_at]
+                calls.append((name, terms[1][0] if len(terms) > 1 else None, args[2]))
+                return kernel(*args)
+            return run
+
+        monkeypatch.setattr(counts, "mul_sparse", logged("regular", counts.mul_sparse, 1))
+        monkeypatch.setattr(counts, "solve_monic_sparse",
+                            logged("twocolor", counts.solve_monic_sparse, 0))
+        monkeypatch.setattr(modseries, "solve_monic_sparse_mod",
+                            logged("mod-solve", modseries.solve_monic_sparse_mod, 0))
+        return calls
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_exact_key_expanded_once(self, kernel_calls, threads):
+        suite = run_suite(SuiteConfig(**dict(self.CFG, threads=threads)))
+        expanded = [f"{kind}({ell})" for kind, ell, _order in kernel_calls]
+        read = {r.extras["function"] for r in suite.reports} - {"p3"}
+        assert all(r.extras.get("engine", "exact") == "exact" for r in suite.reports)
+        assert len(read) > 12
+        assert sorted(expanded) == sorted(read)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reduced_base_solved_once(self, kernel_calls, threads):
+        suite = run_suite(SuiteConfig(**dict(self.CFG, threads=threads, exact_threshold=500)))
+        reduced = {r.extras["function"] for r in suite.reports
+                   if r.extras.get("engine", "").startswith("reduced")}
+        assert len(reduced) >= 2
+        assert [c for c in kernel_calls if c[:2] == ("mod-solve", 1)] == [("mod-solve", 1, 963)]
