@@ -19,7 +19,7 @@ from .eta import EtaQuotientSpec, eta_quotient
 from .hmatrix import m_entry
 from .report import FAIL, PASS
 from .vectors import Family, family_vector, valuation_bound
-from .verifier import SuiteConfig, run_suite, verify_congruence, verify_gf_identity
+from .verifier import IDENTITY_MODES, SuiteConfig, run_suite, verify_congruence, verify_gf_identity
 from .arith3 import pi3
 
 _JSON_KW = dict(sort_keys=True, separators=(",", ":"))
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("alpha", "beta", "ell"):
         p.add_argument(f"--{name}", type=int)
     p.add_argument("--terms", type=int, default=30)
-    p.add_argument("--mode", choices=("exact", "mod", "auto"), default="auto")
+    p.add_argument("--mode", choices=IDENTITY_MODES, default="auto")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_verify_identity)
 

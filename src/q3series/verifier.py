@@ -20,6 +20,7 @@ Index conventions for case parameters:
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -431,34 +432,55 @@ def instantiate(case_id: str, params: dict) -> CaseInstance:
 
 # -- engines ---------------------------------------------------------------
 
-
-def _coefficients(fn: CountingFunction, order: int, exact: bool):
-    """(values, capped) where capped marks reduced residues."""
-    if exact:
-        return count_values(fn, order), False
-    return count_values_mod(fn, order), True
+_REDUCED_ENGINE = f"reduced(3^{STANDARD_EXPONENT})"
+IDENTITY_MODES = ("exact", "mod", "auto")
 
 
-def _valuation_of(value: int, capped: bool):
-    """(valuation or None for 'at least the cap', is_exactly_known)."""
-    v = pi3(int(value))
-    if v.is_infinite:
-        return (None, not capped)
-    return (v.value, True)
-
-
-def _update_min(current, candidate):
-    if candidate is None:
-        return current
-    if current is None or candidate < current:
-        return candidate
-    return current
-
-
-def _congruence_expansion(inst: CaseInstance, n_max: int, exact_threshold: int) -> tuple[int, bool]:
-    """(order, exact engine?) of the expansion a congruence check reads."""
-    order = inst.progression.index(n_max) + 1
+def _congruence_expansion(prog: Progression, n_max: int, exact_threshold: int) -> tuple[int, bool]:
+    """(order, exact engine?) of the expansion a congruence check on n <= n_max reads."""
+    order = prog.index(n_max) + 1
     return order, order <= exact_threshold
+
+
+def _identity_expansion(prog: Progression, terms: int, mode: str,
+                        exact_order_cap: int) -> tuple[int, bool]:
+    """(order, exact engine?) of the expansion an identity check reads."""
+    if mode not in IDENTITY_MODES:
+        raise ValueError(f"unknown identity mode {mode!r}; expected one of {IDENTITY_MODES}")
+    order = prog.index(terms - 1) + 1
+    return order, mode == "exact" or (mode == "auto" and order <= exact_order_cap)
+
+
+def _read(fn: CountingFunction, prog: Progression, ns, exact: bool) -> tuple[list[int], bool]:
+    """(coefficients of fn at A*n + B for n in ns, capped?).
+
+    Capped values come from the reduced engine: residues mod 3^_RESIDUE_CAP.
+    """
+    order = prog.index(max(ns, default=0)) + 1
+    values = count_values(fn, order) if exact else count_values_mod(fn, order)
+    return [int(values[prog.index(n)]) for n in ns], not exact
+
+
+def _scan(deviations: list[int], capped: bool) -> tuple[list[int | None], int | None, bool]:
+    """(valuations, holds, hit_cap) of the deviations from a claim.
+
+    Each valuation is pi3 of one deviation, None for a zero; `holds` is
+    the least of them, the largest exponent the claim holds to.  Capped
+    deviations are known only mod 3^_RESIDUE_CAP, where a zero means "at
+    least the cap": if only zeros were seen, `holds` is the cap and
+    `hit_cap` is set.
+    """
+    if capped:
+        deviations = [d % 3**_RESIDUE_CAP for d in deviations]
+    valuations = [pi3(d).value for d in deviations]
+    finite = [v for v in valuations if v is not None]
+    hit_cap = capped and bool(deviations) and not finite
+    return valuations, min(finite, default=_RESIDUE_CAP if hit_cap else None), hit_cap
+
+
+def _extras(fn: CountingFunction, prog: Progression, **more) -> dict:
+    """The function and progression every report names, then `more`."""
+    return {"function": fn.label(), "progression": {"A": prog.A, "B": prog.B}, **more}
 
 
 def verify_congruence(case_id: str, params: dict, n_max: int,
@@ -471,34 +493,19 @@ def verify_congruence(case_id: str, params: dict, n_max: int,
     precision when the fast path was used).
     """
     inst = instantiate(case_id, params)
-    order, exact = _congruence_expansion(inst, n_max, exact_threshold)
+    _, exact = _congruence_expansion(inst.progression, n_max, exact_threshold)
+    ns = [n for n in range(n_max + 1) if inst.n_filter is None or inst.n_filter(n)]
+    values, capped = _read(inst.fn, inst.progression, ns, exact)
+    rep = Report(case=inst.case, params=dict(inst.params) | {"n_max": n_max}, checked=len(ns))
     if inst.branch:
-        return _verify_branch_case(inst, n_max, order, exact)
-    values, capped = _coefficients(inst.fn, order, exact)
-    rep = Report(case=inst.case, params=dict(inst.params) | {"n_max": n_max})
-    min_val = None
-    saw_cap = False
-    for n in range(n_max + 1):
-        if inst.n_filter is not None and not inst.n_filter(n):
-            continue
-        rep.checked += 1
-        v = int(values[inst.progression.index(n)])
-        val, known = _valuation_of(v, capped)
-        if val is None and not known:
-            saw_cap = True
-            continue
-        min_val = _update_min(min_val, val)
-        if val is not None and val < inst.exponent:
-            rep.failures.append({"n": n, "value": str(v), "valuation": val,
-                                 "required": inst.exponent})
-    rep.extras = {
-        "function": inst.fn.label(),
-        "progression": {"A": inst.progression.A, "B": inst.progression.B},
-        "modulus_exponent": inst.exponent,
-        "engine": "exact" if exact else f"reduced(3^{STANDARD_EXPONENT})",
-        "holds_to_exponent": _RESIDUE_CAP if min_val is None and saw_cap else min_val,
-        "exponent_capped": min_val is None and saw_cap,
-    }
+        return _verify_branch_case(inst, rep, values, capped)
+    valuations, holds, hit_cap = _scan(values, capped)
+    rep.failures = [{"n": n, "value": str(v), "valuation": val, "required": inst.exponent}
+                    for n, v, val in zip(ns, values, valuations)
+                    if val is not None and val < inst.exponent]
+    rep.extras = _extras(inst.fn, inst.progression, modulus_exponent=inst.exponent,
+                         engine=_REDUCED_ENGINE if capped else "exact",
+                         holds_to_exponent=holds, exponent_capped=hit_cap)
     if inst.conjecture:
         rep.extras["conjecture"] = True
     return rep.finalize()
@@ -513,43 +520,29 @@ def _triangular_index(n: int) -> int | None:
     return None
 
 
-def _verify_branch_case(inst: CaseInstance, n_max: int, order: int, exact: bool) -> Report:
-    """Two-branch check: on triangular n the coefficient must follow
-    c * (-1)^n (2n+1) for one constant c fitted at n = 0, elsewhere vanish.
+def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], capped: bool) -> Report:
+    """Two-branch check of values at n = 0, 1, ...: on triangular n the
+    coefficient must follow c * (-1)^n (2n+1) for one constant c fitted
+    at n = 0, elsewhere vanish.
 
     Everything is read modulo 3^exponent.  The fitted constant and
     whether the bare (-1)^n (2n+1) branch (c = 1) also holds are
     reported, as is the largest exponent at which the branch structure
     survives.
     """
-    values, capped = _coefficients(inst.fn, order, exact)
     mod = 3**inst.exponent
-    rep = Report(case=inst.case, params=dict(inst.params) | {"n_max": n_max})
-    const = int(values[inst.progression.index(0)])
-    deviation_min = None
-    saw_cap = False
-    for n in range(n_max + 1):
-        rep.checked += 1
-        v = int(values[inst.progression.index(n)])
-        want = const * (2 * n + 1) * (-1 if n % 2 else 1) if _triangular_index(n) is not None else 0
-        dev = (v - want) % 3**STANDARD_EXPONENT if capped else v - want
-        val, known = _valuation_of(dev, capped)
-        if val is None and not known:
-            saw_cap = True
-        deviation_min = _update_min(deviation_min, val)
-        if (v - want) % mod != 0:
-            rep.failures.append({"n": n, "value": str(v % mod), "expected": str(want % mod),
-                                 "valuation": val, "required": inst.exponent})
-    rep.extras = {
-        "function": inst.fn.label(),
-        "progression": {"A": inst.progression.A, "B": inst.progression.B},
-        "modulus_exponent": inst.exponent,
-        "engine": "exact" if exact else f"reduced(3^{STANDARD_EXPONENT})",
-        "fitted_constant": str(const % mod),
-        "plain_branch_holds": const % mod == 1,
-        "branch_holds_to_exponent": _RESIDUE_CAP if deviation_min is None and saw_cap else deviation_min,
-        "exponent_capped": deviation_min is None and saw_cap,
-    }
+    const = values[0]
+    wants = [const * (2 * n + 1) * (-1 if n % 2 else 1) if _triangular_index(n) is not None else 0
+             for n in range(len(values))]
+    valuations, holds, hit_cap = _scan([v - w for v, w in zip(values, wants)], capped)
+    rep.failures = [{"n": n, "value": str(v % mod), "expected": str(w % mod),
+                     "valuation": val, "required": inst.exponent}
+                    for n, (v, w, val) in enumerate(zip(values, wants, valuations))
+                    if val is not None and val < inst.exponent]
+    rep.extras = _extras(inst.fn, inst.progression, modulus_exponent=inst.exponent,
+                         engine=_REDUCED_ENGINE if capped else "exact",
+                         fitted_constant=str(const % mod), plain_branch_holds=const % mod == 1,
+                         branch_holds_to_exponent=holds, exponent_capped=hit_cap)
     return rep.finalize()
 
 
@@ -582,17 +575,15 @@ def _weighted_quotient_window(vec, num: int, den: int, terms: int) -> list[int]:
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def _rhs_window(identity: GfIdentity, level: int, alpha: int, terms: int) -> list[int]:
-    """Exact window of the identity's right-hand side."""
+    """Exact window of the identity's right-hand side.
+
+    It does not depend on ell, so the members of a residue class share
+    one cached list; callers must not mutate it.
+    """
     vec = family_vector(identity.family, alpha, level, terms + 1)
     return _weighted_quotient_window(vec, identity.num, identity.den, terms)
-
-
-def _identity_expansion(prog: Progression, terms: int, mode: str,
-                        exact_order_cap: int) -> tuple[int, bool]:
-    """(order, exact engine?) of the expansion an identity check reads."""
-    order = prog.index(terms - 1) + 1
-    return order, mode == "exact" or (mode == "auto" and order <= exact_order_cap)
 
 
 def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
@@ -602,65 +593,37 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     Modes: "exact" demands coefficientwise equality; "mod" compares
     modulo 3^lemma_exponent; "auto" runs "mod" plus an exact comparison
     when the underlying expansion order stays under `exact_order_cap`.
-    The observed minimum valuation of the difference is reported either
-    way, so the answer to "equality or congruence, and to what power?"
-    is part of every report.
+    Any other mode is a ValueError.  The observed minimum valuation of
+    the difference is reported either way, so the answer to "equality or
+    congruence, and to what power?" is part of every report.
     """
     identity = _IDENTITY_BY_ID.get(identity_id)
     if identity is None:
         raise KeyError(f"unknown identity {identity_id!r}")
     fn, prog, level, lemma_e, params = identity.instantiate(params)
-    order, run_exact = _identity_expansion(prog, terms, mode, exact_order_cap)
-    rep = Report(case=identity_id, params=dict(params) | {"terms": terms, "mode": mode})
-    run_mod = mode in ("mod", "auto")
-    alpha = params["alpha"]
-    rhs = _rhs_window(identity, level, alpha, terms)
-
-    diff_min = None
-    saw_cap = False
-    exact_equal = None
-    if run_exact:
-        lhs = count_values(fn, order)
-        lhs = [lhs[prog.index(n)] for n in range(terms)]
-        exact_equal = lhs == rhs
-        for n in range(terms):
-            val, _ = _valuation_of(lhs[n] - rhs[n], False)
-            diff_min = _update_min(diff_min, val)
-    else:
-        res = count_values_mod(fn, order)
-        modulus = 3**STANDARD_EXPONENT
-        lhs = [int(res[prog.index(n)]) for n in range(terms)]
-        for n in range(terms):
-            dev = (lhs[n] - rhs[n]) % modulus
-            val, known = _valuation_of(dev, True)
-            if val is None and not known:
-                saw_cap = True
-            diff_min = _update_min(diff_min, val)
-    rep.checked = terms
-
+    _, exact = _identity_expansion(prog, terms, mode, exact_order_cap)
+    rep = Report(case=identity_id, params=dict(params) | {"terms": terms, "mode": mode},
+                 checked=terms)
+    rhs = _rhs_window(identity, level, params["alpha"], terms)
+    lhs, capped = _read(fn, prog, range(terms), exact)
+    valuations, diff_min, hit_cap = _scan([a - b for a, b in zip(lhs, rhs)], capped)
+    exact_equal = lhs == rhs if exact else None
     mod_ok = None
-    if run_mod:
-        mod_ok = diff_min is None or diff_min >= lemma_e
-        if not mod_ok:
-            first_bad = next(n for n in range(terms) if (lhs[n] - rhs[n]) % (3**lemma_e))
-            rep.failures.append({"n": first_bad, "value": str(lhs[first_bad] % 3**lemma_e),
-                                 "expected": str(rhs[first_bad] % 3**lemma_e),
+    if mode != "exact":
+        bad = [n for n, val in enumerate(valuations) if val is not None and val < lemma_e]
+        mod_ok = not bad
+        if bad:
+            n = bad[0]
+            rep.failures.append({"n": n, "value": str(lhs[n] % 3**lemma_e),
+                                 "expected": str(rhs[n] % 3**lemma_e),
                                  "valuation": diff_min, "required": lemma_e})
-    if mode == "exact" and not exact_equal:
-        first_bad = next(n for n in range(terms) if lhs[n] != rhs[n])
-        rep.failures.append({"n": first_bad, "value": str(lhs[first_bad]),
-                             "expected": str(rhs[first_bad]),
+    elif not exact_equal:
+        n = next(n for n, val in enumerate(valuations) if val is not None)
+        rep.failures.append({"n": n, "value": str(lhs[n]), "expected": str(rhs[n]),
                              "valuation": diff_min, "required": "exact"})
-    rep.extras = {
-        "function": fn.label(),
-        "progression": {"A": prog.A, "B": prog.B},
-        "lemma_exponent": lemma_e,
-        "exact_checked": exact_equal is not None,
-        "exact_equal": exact_equal,
-        "mod_equal": mod_ok,
-        "diff_valuation": _RESIDUE_CAP if diff_min is None and saw_cap else diff_min,
-        "diff_valuation_capped": diff_min is None and saw_cap,
-    }
+    rep.extras = _extras(fn, prog, lemma_exponent=lemma_e, exact_checked=exact,
+                         exact_equal=exact_equal, mod_equal=mod_ok,
+                         diff_valuation=diff_min, diff_valuation_capped=hit_cap)
     return rep.finalize()
 
 
@@ -678,9 +641,7 @@ def probe_seed_reading(identity_id: str, alpha: int, terms: int = 20) -> dict:
     identity = _IDENTITY_BY_ID[identity_id]
     fn, prog, level, _e, _p = identity.instantiate({"alpha": alpha, "beta": 0})
     assert level == 1
-    order = prog.index(terms - 1) + 1
-    lhs = count_values(fn, order)
-    lhs = [lhs[prog.index(n)] for n in range(terms)]
+    lhs, _ = _read(fn, prog, range(terms), True)
     verdict = {}
     for label, k in (("odd_base_seed", 2 * alpha + 1), ("even_base_seed", 2 * alpha + 2)):
         vec = x_vector(k, terms + 1)
@@ -692,17 +653,10 @@ def implied_congruence_holds(identity_id: str, params: dict, n_max: int = 60,
                              exact_threshold: int = 50_000) -> bool:
     """Check the congruence a passing identity forces on its progression:
     every coefficient divisible by 3^lemma_exponent."""
-    identity = _IDENTITY_BY_ID[identity_id]
-    fn, prog, _level, lemma_e, _ = identity.instantiate(params)
-    order = prog.index(n_max) + 1
-    exact = order <= exact_threshold
-    values, capped = _coefficients(fn, order, exact)
-    for n in range(n_max + 1):
-        v = int(values[prog.index(n)])
-        val, known = _valuation_of(v, capped)
-        if val is not None and val < lemma_e:
-            return False
-    return True
+    fn, prog, _level, lemma_e, _ = _IDENTITY_BY_ID[identity_id].instantiate(params)
+    _, exact = _congruence_expansion(prog, n_max, exact_threshold)
+    valuations, _, _ = _scan(*_read(fn, prog, range(n_max + 1), exact))
+    return all(val is None or val >= lemma_e for val in valuations)
 
 
 # -- suite ------------------------------------------------------------------
@@ -853,7 +807,7 @@ def _expansion(cfg: SuiteConfig, job) -> tuple[CountingFunction, int, bool]:
     jkind, jid, params, opts = job
     if jkind == "congruence":
         inst = instantiate(jid, params)
-        return (inst.fn, *_congruence_expansion(inst, opts["n_max"], cfg.exact_threshold))
+        return (inst.fn, *_congruence_expansion(inst.progression, opts["n_max"], cfg.exact_threshold))
     fn, prog, _, _, _ = _IDENTITY_BY_ID[jid].instantiate(params)
     return (fn, *_identity_expansion(prog, cfg.identity_terms, opts["mode"], cfg.identity_exact_cap))
 

@@ -1,15 +1,23 @@
 """Catalog integrity, instantiation, and the verification engines."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from q3series import counts, modseries
+from q3series import counts, modseries, verifier
 from q3series.report import FAIL, PASS, SKIPPED
+from q3series.vectors import family_vector
 from q3series.verifier import (SuiteConfig, _exact_div, catalog, class_members,
                                implied_congruence_holds, instantiate, run_suite,
                                verify_congruence, verify_gf_identity, verify_mr10)
+
+# run_suite(SuiteConfig(**TestSuite.CFG)).to_dict() at the default thresholds
+# ("default") and with exact_threshold = identity_exact_cap = 200 ("reduced"),
+# where 39 congruence and 2 identity jobs read the reduced engine.  Regenerate
+# it only with a change that is meant to alter reports.
+GOLDEN = Path(__file__).parent / "data" / "suite_small_golden.json"
 
 
 class TestCatalog:
@@ -118,6 +126,29 @@ class TestVerifyCongruence:
         exact = verify_congruence("MR1", {"alpha": 0, "beta": 0}, 60)
         assert exact.extras["engine"] == "exact"
 
+    @pytest.mark.parametrize("case_id, params", [
+        ("MR1", {"alpha": 0, "beta": 0}),
+        ("MR8", {"alpha": 0, "beta": 1, "ell": 3}),
+        ("MR4", {"alpha": 0, "beta": 0, "p": 7, "k": 0}),
+        ("MR10", {"alpha": 0, "beta": 0, "ell": 3}),
+        ("MR21", {"alpha": 0, "beta": 1, "ell": 6}),
+        ("BC1", {"k": 1, "m": 0}),
+    ])
+    def test_engines_agree(self, case_id, params):
+        # a reduced failure's value is a residue; everything else must match
+        def comparable(rep):
+            d = rep.to_dict()
+            del d["engine"]
+            for f in d["failures"]:
+                del f["value"]
+            return d
+
+        exact = verify_congruence(case_id, params, 40)
+        reduced = verify_congruence(case_id, params, 40, exact_threshold=0)
+        assert exact.extras["engine"] == "exact"
+        assert reduced.extras["engine"].startswith("reduced")
+        assert comparable(reduced) == comparable(exact)
+
 
 class TestBranchCase:
     def test_structure_documented(self):
@@ -153,6 +184,40 @@ class TestIdentities:
         rep = verify_gf_identity("T31", {"alpha": 0, "beta": 1, "ell": 6}, 16, "auto")
         assert rep.status == FAIL
         assert rep.extras["diff_valuation"] < rep.extras["lemma_exponent"]
+
+    def test_unknown_mode_rejected_before_expansion(self, monkeypatch):
+        def expanded(*args):
+            raise AssertionError("expanded before the mode was checked")
+
+        for name in ("count_values", "count_values_mod", "_rhs_window"):
+            monkeypatch.setattr(verifier, name, expanded)
+        with pytest.raises(ValueError, match="mode"):
+            verify_gf_identity("T31", {"alpha": 0, "beta": 1, "ell": 6}, 16, "Auto")
+
+    def test_capped_difference_valuation(self):
+        # H1 holds exactly, so mod 3^15 every difference reads zero: 15 is a lower bound
+        reduced = verify_gf_identity("H1", {"alpha": 0}, 20, "mod")
+        assert reduced.extras["diff_valuation"] == 15
+        assert reduced.extras["diff_valuation_capped"] is True
+        exact = verify_gf_identity("H1", {"alpha": 0}, 20, "exact")
+        assert exact.extras["diff_valuation"] is None
+        assert exact.extras["diff_valuation_capped"] is False
+
+    def test_class_members_share_one_window(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return family_vector(*args)
+
+        monkeypatch.setattr(verifier, "family_vector", counted)
+        verifier._rhs_window.cache_clear()
+        try:
+            for ell in (3, 6):
+                verify_gf_identity("T31", {"alpha": 0, "beta": 0, "ell": ell}, 12, "auto")
+        finally:
+            verifier._rhs_window.cache_clear()
+        assert len(calls) == 1
 
     def test_exact_mode_counterexample(self):
         rep = verify_gf_identity("T31", {"alpha": 0, "beta": 0, "ell": 3}, 12, "exact")
@@ -195,6 +260,15 @@ class TestSuite:
         threaded_d = threaded.to_dict()
         threaded_d["reports"] = threaded_d["reports"]
         assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(threaded_d, sort_keys=True)
+
+    @pytest.mark.parametrize("name, thresholds", [
+        ("default", {}),
+        ("reduced", {"exact_threshold": 200, "identity_exact_cap": 200}),
+    ])
+    def test_matches_golden_report(self, name, thresholds):
+        golden = json.loads(GOLDEN.read_text())[name]
+        suite = run_suite(SuiteConfig(**dict(self.CFG, **thresholds)))
+        assert json.dumps(suite.to_dict(), sort_keys=True) == json.dumps(golden, sort_keys=True)
 
     def test_include_filter(self):
         suite = run_suite(SuiteConfig(**dict(self.CFG, include=("MR1", "H1"))))
