@@ -4,18 +4,24 @@ Divisibility by 3^e is decided by the residue mod 3^E for any E >= e, so
 the long congruence scans run here instead of on exact big integers.  The
 exact path stays authoritative: tests compare the two on shared prefixes.
 
-Safety: with residues in [0, 3^E) a back-substitution accumulator is
-bounded by mod + terms * mod^2, which must stay below 2^63.  Callers are
-checked against that bound and must lower E or fall back to exact
-arithmetic when it fails (it never triggers at this package's scales:
-E = 15 sustains ~44000 sparse terms).
+Safety: with residues in [0, 3^E) two int64 bounds must hold.  A
+back-substitution or product accumulator sums up to one product per
+sparse term onto a residue, so mod + nterms * (mod-1)^2 < 2^63; at E = 15
+that sustains ~44000 sparse terms.  The blocked solve also convolves a
+block of L residues with L residues of an inverse, so L * (mod-1)^2 < 2^63;
+at E = 15 that allows L up to ~44700.  Both are checked, and a failure
+raises OverflowError: callers must then lower E or fall back to exact
+arithmetic.  Neither triggers at this package's scales.
 
 `BACKEND` names the kernels in use: "numba" when numba is importable,
-otherwise "python", whose first use prints one line on stderr.
+otherwise "numpy", the blocked solve below, whose first use prints one
+line on stderr.  `_solve_py` is the sequential reference the tests
+compare every solve kernel against.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -25,7 +31,7 @@ try:  # pragma: no cover - exercised implicitly by which path runs
 
     BACKEND = "numba"
 except ImportError:  # pragma: no cover
-    BACKEND = "python"
+    BACKEND = "numpy"
 
 # residues mod 3^15 cover every exponent the verifier asks about (max 12)
 # with room for largest-holding-exponent diagnostics
@@ -49,12 +55,59 @@ def _solve_py(gaps, coeffs, rhs, mod):
     return np.array(blist, dtype=np.int64)
 
 
+# Long-gap terms are applied ahead in chunks of at most this many
+# positions, so the accumulator slice stays in cache.
+_CHUNK = 1 << 16
+
+
+def _solve_blocked(gaps, coeffs, rhs, mod, block=None):
+    """Same result as `_solve_py`, block by block with numpy.
+
+    The unknowns of a block [s, s+L) depend on earlier blocks and, through
+    the terms with gap < L, on each other.  Every term's contribution from
+    entries already known is subtracted from an accumulator by one slice
+    update, a long-gap term's as far ahead as the known entries reach.
+    What is left is the block times the short-gap part of the operand, so
+    the block is its right-hand side convolved with that part's inverse,
+    solved once to L coefficients.  `block` forces L (tests only).
+    """
+    n = rhs.shape[0]
+    # 16*sqrt(nterms) balances the per-block Python work, which grows with
+    # the number of short-gap terms, against the O(L^2) convolution per
+    # block; it measured best on the suite's operands
+    L = max(1, min(block or 16 * math.isqrt(len(gaps) + 1), n))
+    _check_overflow(len(gaps), mod, L)
+    unit = np.zeros(L, dtype=np.int64)
+    unit[0] = 1
+    near = int(np.searchsorted(gaps, L))
+    inv = _solve_py(gaps[:near], coeffs[:near], unit, mod)
+    chunk = max(L, _CHUNK)
+    glist = gaps.tolist()
+    clist = coeffs.tolist()
+    done = list(glist)  # term t is accounted for at every position below done[t]
+    acc = rhs % mod
+    b = np.zeros(n, dtype=np.int64)
+    for s in range(0, n, L):
+        e = min(s + L, n)
+        for t, g in enumerate(glist):
+            if g >= e:
+                break
+            if done[t] < e:
+                lo = max(done[t], s)
+                hi = min(s + g, n, lo + chunk)
+                acc[lo:hi] -= clist[t] * b[lo - g:hi - g]
+                done[t] = hi
+        m = e - s
+        b[s:e] = np.convolve(inv[:m], acc[s:e] % mod)[:m] % mod
+    return b
+
+
 def _mul_py(dense, gaps, coeffs, mod):
     n = dense.shape[0]
     out = np.zeros(n, dtype=np.int64)
     for g, c in zip(gaps.tolist(), coeffs.tolist()):
-        out[g:] = (out[g:] + c * dense[: n - g]) % mod
-    return out
+        out[g:] += c * dense[: n - g]
+    return out % mod
 
 
 if BACKEND == "numba":
@@ -86,18 +139,18 @@ if BACKEND == "numba":
 
     _solve_impl, _mul_impl = _solve_nb, _mul_nb
 else:
-    _solve_impl, _mul_impl = _solve_py, _mul_py
+    _solve_impl, _mul_impl = _solve_blocked, _mul_py
 
 _fallback_announced = False
 
 
 def _announce_backend() -> None:
-    """Say once per process that the slow pure-Python kernels are running."""
+    """Say once per process that the numpy fallback kernels are running."""
     global _fallback_announced
-    if BACKEND == "python" and not _fallback_announced:
+    if BACKEND == "numpy" and not _fallback_announced:
         _fallback_announced = True
-        print("q3series: numba is not installed; the reduced mod-3^15 engine runs its much "
-              "slower pure-Python kernels (install the q3series[fast] extra)", file=sys.stderr)
+        print("q3series: numba is not installed; the reduced mod-3^15 engine runs its blocked "
+              "numpy kernels (the q3series[fast] extra adds the compiled ones)", file=sys.stderr)
 
 
 def _prepare(terms, mod):
@@ -107,10 +160,14 @@ def _prepare(terms, mod):
     return gaps, coeffs
 
 
-def _check_overflow(nterms: int, mod: int) -> None:
+def _check_overflow(nterms: int, mod: int, block: int = 0) -> None:
     if mod + nterms * (mod - 1) ** 2 >= 2**63:
         raise OverflowError(
             f"accumulator bound exceeded: {nterms} terms at modulus {mod}; reduce the exponent"
+        )
+    if block * (mod - 1) ** 2 >= 2**63:
+        raise OverflowError(
+            f"convolution bound exceeded: block length {block} at modulus {mod}; reduce the exponent"
         )
 
 

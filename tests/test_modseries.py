@@ -1,4 +1,5 @@
-"""Reduced int64 kernels against the exact kernels, and the overflow guard."""
+"""Reduced int64 kernels against the exact kernels and the sequential
+reference, and the overflow guards."""
 
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from q3series import modseries
 from q3series.eta import euler_terms, jacobi_cube_terms
@@ -52,13 +54,46 @@ def test_overflow_guard():
     modseries._check_overflow(nterms=4000, mod=3**15)
 
 
+MOD15 = 3**15
+
+
+def test_block_overflow_guard():
+    with pytest.raises(OverflowError):
+        modseries._check_overflow(nterms=1, mod=MOD15, block=50000)
+    modseries._check_overflow(nterms=1, mod=MOD15, block=40000)
+    gaps, coeffs = modseries._prepare(jacobi_cube_terms(1, 50000)[1:], MOD15)
+    with pytest.raises(OverflowError):
+        modseries._solve_blocked(gaps, coeffs, np.ones(50000, dtype=np.int64), MOD15, block=50000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.integers(1, 700), ell=st.sampled_from([0, 1, 2, 3, 5, 9, 27]),
+       block=st.one_of(st.none(), st.integers(1, 800)), seed=st.integers(0, 2**32 - 1))
+@example(order=1, ell=1, block=1, seed=0)
+@example(order=300, ell=1, block=1, seed=1)
+@example(order=300, ell=3, block=301, seed=2)
+@example(order=300, ell=2, block=7, seed=3)
+@example(order=300, ell=0, block=13, seed=4)
+def test_blocked_solve_matches_sequential(order, ell, block, seed):
+    """ell = 0 draws a random sparse operand; otherwise the operand is E(q^ell)^3."""
+    rng = np.random.default_rng(seed)
+    if ell:
+        gaps, coeffs = modseries._prepare(jacobi_cube_terms(ell, order)[1:], MOD15)
+    else:
+        gaps = np.unique(rng.integers(1, max(2, order), size=rng.integers(0, 40)))
+        coeffs = rng.integers(0, MOD15, size=gaps.shape[0])
+    rhs = rng.integers(0, MOD15, size=order)
+    expected = modseries._solve_py(gaps, coeffs, rhs, MOD15)
+    assert (modseries._solve_blocked(gaps, coeffs, rhs, MOD15, block=block) == expected).all()
+
+
 def test_non_monic_rejected():
     with pytest.raises(ValueError):
         modseries.solve_monic_sparse_mod([(0, 2)], np.ones(4, dtype=np.int64), 4, 27)
 
 
 def test_backend_named_and_fallback_announced_once():
-    assert modseries.BACKEND in ("numba", "python")
+    assert modseries.BACKEND in ("numba", "numpy")
     script = "\n".join([
         "import sys",
         "from q3series.counts import CountingFunction, Kind, count_values, count_values_mod",
@@ -72,5 +107,5 @@ def test_backend_named_and_fallback_announced_once():
                          text=True, check=True).stderr.splitlines()
     assert err[0] == "exact done"
     notices = err[1:]
-    assert len(notices) == (modseries.BACKEND == "python")
+    assert len(notices) == (modseries.BACKEND == "numpy")
     assert all("numba" in line for line in notices)
