@@ -114,17 +114,11 @@ def count_series(fn: CountingFunction, order: int) -> TruncatedSeries:
     return TruncatedSeries(0, count_values(fn, order), order)
 
 
-def count_values_mod(fn: CountingFunction, order: int, exponent: int = modseries.STANDARD_EXPONENT) -> np.ndarray:
-    """Coefficients 0..order-1 reduced mod 3**exponent.
-
-    Values are kept at the standard exponent; requests at a smaller
-    exponent reduce them.
-    """
+def count_values_mod(fn: CountingFunction, order: int) -> np.ndarray:
+    """Coefficients 0..order-1 reduced mod 3**modseries.STANDARD_EXPONENT."""
     global _mod_base, _mod_last
     if order < 1:
         raise ValueError("order must be >= 1")
-    if exponent > modseries.STANDARD_EXPONENT:
-        raise ValueError(f"exponent {exponent} above the standard reduced precision")
     mod_std = 3**modseries.STANDARD_EXPONENT
     key = (fn.kind, fn.ell)
     with _lock:
@@ -136,9 +130,7 @@ def count_values_mod(fn: CountingFunction, order: int, exponent: int = modseries
             arr = _expand(fn, _mod_base, order, modseries.mul_sparse_mod,
                           modseries.solve_monic_sparse_mod, mod_std)
             _mod_last = (key, arr)
-    if exponent == modseries.STANDARD_EXPONENT:
-        return arr[:order]
-    return arr[:order] % (3**exponent)
+    return arr[:order]
 
 
 # -- independent oracle ------------------------------------------------

@@ -13,25 +13,15 @@ at E = 15 that allows L up to ~44700.  Both are checked, and a failure
 raises OverflowError: callers must then lower E or fall back to exact
 arithmetic.  Neither triggers at this package's scales.
 
-`BACKEND` names the kernels in use: "numba" when numba is importable,
-otherwise "numpy", the blocked solve below, whose first use prints one
-line on stderr.  `_solve_py` is the sequential reference the tests
-compare every solve kernel against.
+`_solve_py` is the sequential reference the tests compare the blocked
+solve against.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by which path runs
-    from numba import njit
-
-    BACKEND = "numba"
-except ImportError:  # pragma: no cover
-    BACKEND = "numpy"
 
 # residues mod 3^15 cover every exponent the verifier asks about (max 12)
 # with room for largest-holding-exponent diagnostics
@@ -110,49 +100,6 @@ def _mul_py(dense, gaps, coeffs, mod):
     return out % mod
 
 
-if BACKEND == "numba":
-
-    @njit(cache=True, nogil=True)
-    def _solve_nb(gaps, coeffs, rhs, mod):  # pragma: no cover - compiled
-        n = rhs.shape[0]
-        b = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            s = rhs[i]
-            for t in range(gaps.shape[0]):
-                g = gaps[t]
-                if g > i:
-                    break
-                s -= coeffs[t] * b[i - g]
-            b[i] = s % mod
-        return b
-
-    @njit(cache=True, nogil=True)
-    def _mul_nb(dense, gaps, coeffs, mod):  # pragma: no cover - compiled
-        n = dense.shape[0]
-        out = np.zeros(n, dtype=np.int64)
-        for t in range(gaps.shape[0]):
-            g = gaps[t]
-            c = coeffs[t]
-            for i in range(g, n):
-                out[i] = (out[i] + c * dense[i - g]) % mod
-        return out
-
-    _solve_impl, _mul_impl = _solve_nb, _mul_nb
-else:
-    _solve_impl, _mul_impl = _solve_blocked, _mul_py
-
-_fallback_announced = False
-
-
-def _announce_backend() -> None:
-    """Say once per process that the numpy fallback kernels are running."""
-    global _fallback_announced
-    if BACKEND == "numpy" and not _fallback_announced:
-        _fallback_announced = True
-        print("q3series: numba is not installed; the reduced mod-3^15 engine runs its blocked "
-              "numpy kernels (the q3series[fast] extra adds the compiled ones)", file=sys.stderr)
-
-
 def _prepare(terms, mod):
     gaps = np.array([g for g, _ in terms], dtype=np.int64)
     coeffs = np.array([c % mod for _, c in terms], dtype=np.int64)
@@ -178,8 +125,7 @@ def solve_monic_sparse_mod(terms, rhs: np.ndarray, order: int, mod: int) -> np.n
     gaps, coeffs = _prepare([t for t in terms[1:] if t[0] < order], mod)
     r = np.zeros(order, dtype=np.int64)
     r[: min(len(rhs), order)] = rhs[: min(len(rhs), order)] % mod
-    _announce_backend()
-    return _solve_impl(gaps, coeffs, r, mod)
+    return _solve_blocked(gaps, coeffs, r, mod)
 
 
 def mul_sparse_mod(dense: np.ndarray, terms, order: int, mod: int) -> np.ndarray:
@@ -187,5 +133,4 @@ def mul_sparse_mod(dense: np.ndarray, terms, order: int, mod: int) -> np.ndarray
     gaps, coeffs = _prepare([t for t in terms if t[0] < order], mod)
     d = np.zeros(order, dtype=np.int64)
     d[: min(len(dense), order)] = dense[: min(len(dense), order)] % mod
-    _announce_backend()
-    return _mul_impl(d, gaps, coeffs, mod)
+    return _mul_py(d, gaps, coeffs, mod)

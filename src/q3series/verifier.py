@@ -19,11 +19,9 @@ Index conventions for case parameters:
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -478,6 +476,23 @@ def _scan(deviations: list[int], capped: bool) -> tuple[list[int | None], int | 
     return valuations, min(finite, default=_RESIDUE_CAP if hit_cap else None), hit_cap
 
 
+def _settle(rep: Report, hit_cap: bool, required: int) -> Report:
+    """Finalize a report, but never as PASS on what residues cannot decide.
+
+    Read off residues mod 3^_RESIDUE_CAP, a nonzero deviation has a
+    valuation below the cap, so when `required` exceeds the cap it fails on
+    evidence.  If none failed and the deviations read zero (`hit_cap`),
+    they show divisibility by 3^_RESIDUE_CAP only: the report is SKIPPED,
+    with the reason in extras["undecided"].
+    """
+    rep.finalize()
+    if hit_cap and required > _RESIDUE_CAP:
+        rep.status = SKIPPED
+        rep.extras["undecided"] = (f"residues mod 3^{_RESIDUE_CAP} cannot show divisibility "
+                                   f"by 3^{required}")
+    return rep
+
+
 def _extras(fn: CountingFunction, prog: Progression, **more) -> dict:
     """The function and progression every report names, then `more`."""
     return {"function": fn.label(), "progression": {"A": prog.A, "B": prog.B}, **more}
@@ -490,7 +505,8 @@ def verify_congruence(case_id: str, params: dict, n_max: int,
     The stated modulus is a hypothesis: failures are collected, and the
     report always carries the largest exponent that holds across the
     checked range (`holds_to_exponent`, possibly capped by the reduced
-    precision when the fast path was used).
+    precision when the fast path was used).  A reduced reading that
+    cannot decide the stated exponent is SKIPPED (see `_settle`).
     """
     inst = instantiate(case_id, params)
     _, exact = _congruence_expansion(inst.progression, n_max, exact_threshold)
@@ -508,7 +524,7 @@ def verify_congruence(case_id: str, params: dict, n_max: int,
                          holds_to_exponent=holds, exponent_capped=hit_cap)
     if inst.conjecture:
         rep.extras["conjecture"] = True
-    return rep.finalize()
+    return _settle(rep, hit_cap, inst.exponent)
 
 
 def _triangular_index(n: int) -> int | None:
@@ -543,7 +559,7 @@ def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], capp
                          engine=_REDUCED_ENGINE if capped else "exact",
                          fitted_constant=str(const % mod), plain_branch_holds=const % mod == 1,
                          branch_holds_to_exponent=holds, exponent_capped=hit_cap)
-    return rep.finalize()
+    return _settle(rep, hit_cap, inst.exponent)
 
 
 def verify_mr10(alpha: int, beta: int, n_max: int, ell: int | None = None,
@@ -595,7 +611,8 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     when the underlying expansion order stays under `exact_order_cap`.
     Any other mode is a ValueError.  The observed minimum valuation of
     the difference is reported either way, so the answer to "equality or
-    congruence, and to what power?" is part of every report.
+    congruence, and to what power?" is part of every report.  A reduced
+    reading that cannot decide the lemma exponent is SKIPPED (see `_settle`).
     """
     identity = _IDENTITY_BY_ID.get(identity_id)
     if identity is None:
@@ -624,7 +641,7 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     rep.extras = _extras(fn, prog, lemma_exponent=lemma_e, exact_checked=exact,
                          exact_equal=exact_equal, mod_equal=mod_ok,
                          diff_valuation=diff_min, diff_valuation_capped=hit_cap)
-    return rep.finalize()
+    return _settle(rep, hit_cap, lemma_e)
 
 
 def probe_seed_reading(identity_id: str, alpha: int, terms: int = 20) -> dict:
@@ -687,16 +704,17 @@ class SuiteConfig:
     conjecture_ms: tuple[int, ...] = (0, 1)
     conjecture_n_max: int = 50
     include: tuple[str, ...] | None = None
-    threads: int = 1
 
     @classmethod
     def from_json(cls, text: str) -> "SuiteConfig":
+        """Parse a config.  A "threads" key, which older configs carry, is
+        accepted and ignored: the suite runs serially."""
         raw = json.loads(text)
         known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - known - {"threads"}
         if unknown:
             raise ValueError(f"unknown suite config keys: {sorted(unknown)}")
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items() if k != "threads"}
         return cls(**kwargs)
 
     def to_json(self) -> str:
@@ -823,10 +841,10 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     """Run the whole catalog over the configured grids.
 
     Jobs are grouped by the expansion they read, (function, engine).
-    Groups run in descending order of their largest order; each expands
-    its function once, at that order, and then runs its jobs (on a thread
-    pool when cfg.threads > 1).  Reports come back sorted by (case id,
-    parameters) regardless of grouping or thread count.
+    Groups run serially in descending order of their largest order; each
+    expands its function once, at that order, and then runs its jobs.
+    Reports come back sorted by (case id, parameters) regardless of
+    grouping.
     """
     cfg = cfg or SuiteConfig()
     reports: list[Report] = []
@@ -851,10 +869,8 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
         except ValueError as exc:
             return _error_report(job, exc)
 
-    serial = cfg.threads <= 1
-    with contextlib.nullcontext() if serial else ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        for fn, exact in sorted(groups, key=lambda k: (-largest[k], k[0].label(), k[1])):
-            (count_values if exact else count_values_mod)(fn, largest[fn, exact])
-            reports.extend((map if serial else pool.map)(run_one, groups[fn, exact]))
+    for fn, exact in sorted(groups, key=lambda k: (-largest[k], k[0].label(), k[1])):
+        (count_values if exact else count_values_mod)(fn, largest[fn, exact])
+        reports.extend(map(run_one, groups[fn, exact]))
     reports.sort(key=lambda r: (r.case, json.dumps(r.params, sort_keys=True, default=str)))
     return SuiteReport(reports=reports).finalize()

@@ -117,6 +117,19 @@ class TestVerify:
         assert code == 0 and data["status"] == "PASS"
         assert {r["case"] for r in data["reports"]} == {"MR1", "G1"}
 
+    def test_suite_thread_count_has_no_effect(self, tmp_path, capsys):
+        cfg = {"include": ["MR1", "MR9", "H1"], "n_max": 30, "n_max_small": 30,
+               "identity_terms": 10, "class_reps_per_sign": 1}
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        plain.write_text(json.dumps(cfg))
+        flagged.write_text(json.dumps(dict(cfg, threads=2)))
+        serial = run_cli(capsys, "verify", "suite", "--config", str(plain))
+        assert serial[2] == ""
+        for extra in (["--config", str(plain), "--threads", "2"], ["--config", str(flagged)]):
+            code, out, err = run_cli(capsys, "verify", "suite", *extra)
+            assert (code, out) == serial[:2]
+            assert len(err.splitlines()) == 1 and "serially" in err
+
 
 REPORT_SCHEMA = {
     "case": str, "params": dict, "checked": int, "status": str, "failures": list,

@@ -75,13 +75,3 @@ class TestReducedRoute:
             exact = count_values(fn, 1500)
             reduced = count_values_mod(fn, 1500)
             assert [v % mod for v in exact] == [int(r) for r in reduced]
-
-    def test_lower_exponent_view(self):
-        fn = CountingFunction(Kind.P3)
-        full = count_values_mod(fn, 50)
-        small = count_values_mod(fn, 50, exponent=4)
-        assert [int(v) % 81 for v in full] == [int(v) for v in small]
-
-    def test_exponent_above_standard_rejected(self):
-        with pytest.raises(ValueError):
-            count_values_mod(CountingFunction(Kind.P3), 10, exponent=20)

@@ -1,11 +1,6 @@
 """Reduced int64 kernels against the exact kernels and the sequential
 reference, and the overflow guards."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,21 +28,6 @@ def test_mul_matches_exact():
     assert [v % mod for v in exact] == [int(v) for v in reduced]
 
 
-def test_python_fallback_matches_selected_impl():
-    n, mod = 200, 3**7
-    terms = jacobi_cube_terms(1, n)
-    gaps = np.array([g for g, _ in terms[1:]], dtype=np.int64)
-    coeffs = np.array([c % mod for _, c in terms[1:]], dtype=np.int64)
-    rhs = np.zeros(n, dtype=np.int64)
-    rhs[0] = 1
-    via_py = modseries._solve_py(gaps, coeffs, rhs, mod)
-    via_selected = modseries._solve_impl(gaps, coeffs, rhs, mod)
-    assert (via_py == via_selected).all()
-    dense = np.arange(n, dtype=np.int64)
-    assert (modseries._mul_py(dense, gaps, coeffs, mod)
-            == modseries._mul_impl(dense, gaps, coeffs, mod)).all()
-
-
 def test_overflow_guard():
     with pytest.raises(OverflowError):
         modseries._check_overflow(nterms=10**6, mod=3**15)
@@ -68,44 +48,27 @@ def test_block_overflow_guard():
 
 @settings(max_examples=150, deadline=None)
 @given(order=st.integers(1, 700), ell=st.sampled_from([0, 1, 2, 3, 5, 9, 27]),
-       block=st.one_of(st.none(), st.integers(1, 800)), seed=st.integers(0, 2**32 - 1))
-@example(order=1, ell=1, block=1, seed=0)
-@example(order=300, ell=1, block=1, seed=1)
-@example(order=300, ell=3, block=301, seed=2)
-@example(order=300, ell=2, block=7, seed=3)
-@example(order=300, ell=0, block=13, seed=4)
-def test_blocked_solve_matches_sequential(order, ell, block, seed):
+       block=st.one_of(st.none(), st.integers(1, 800)), seed=st.integers(0, 2**32 - 1),
+       mod=st.sampled_from([MOD15, 3**7]))
+@example(order=1, ell=1, block=1, seed=0, mod=MOD15)
+@example(order=300, ell=1, block=1, seed=1, mod=MOD15)
+@example(order=300, ell=3, block=301, seed=2, mod=MOD15)
+@example(order=300, ell=2, block=7, seed=3, mod=MOD15)
+@example(order=300, ell=0, block=13, seed=4, mod=MOD15)
+@example(order=200, ell=1, block=None, seed=5, mod=3**7)
+def test_blocked_solve_matches_sequential(order, ell, block, seed, mod):
     """ell = 0 draws a random sparse operand; otherwise the operand is E(q^ell)^3."""
     rng = np.random.default_rng(seed)
     if ell:
-        gaps, coeffs = modseries._prepare(jacobi_cube_terms(ell, order)[1:], MOD15)
+        gaps, coeffs = modseries._prepare(jacobi_cube_terms(ell, order)[1:], mod)
     else:
         gaps = np.unique(rng.integers(1, max(2, order), size=rng.integers(0, 40)))
-        coeffs = rng.integers(0, MOD15, size=gaps.shape[0])
-    rhs = rng.integers(0, MOD15, size=order)
-    expected = modseries._solve_py(gaps, coeffs, rhs, MOD15)
-    assert (modseries._solve_blocked(gaps, coeffs, rhs, MOD15, block=block) == expected).all()
+        coeffs = rng.integers(0, mod, size=gaps.shape[0])
+    rhs = rng.integers(0, mod, size=order)
+    expected = modseries._solve_py(gaps, coeffs, rhs, mod)
+    assert (modseries._solve_blocked(gaps, coeffs, rhs, mod, block=block) == expected).all()
 
 
 def test_non_monic_rejected():
     with pytest.raises(ValueError):
         modseries.solve_monic_sparse_mod([(0, 2)], np.ones(4, dtype=np.int64), 4, 27)
-
-
-def test_backend_named_and_fallback_announced_once():
-    assert modseries.BACKEND in ("numba", "numpy")
-    script = "\n".join([
-        "import sys",
-        "from q3series.counts import CountingFunction, Kind, count_values, count_values_mod",
-        "count_values(CountingFunction(Kind.REGULAR_TRIPLE, 3), 50)",
-        "print('exact done', file=sys.stderr, flush=True)",
-        "count_values_mod(CountingFunction(Kind.REGULAR_TRIPLE, 3), 50)",
-        "count_values_mod(CountingFunction(Kind.TWO_COLOR_TRIPLE, 3), 80)",
-    ])
-    env = dict(os.environ, PYTHONPATH=str(Path(modseries.__file__).parents[1]))
-    err = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stderr.splitlines()
-    assert err[0] == "exact done"
-    notices = err[1:]
-    assert len(notices) == (modseries.BACKEND == "numpy")
-    assert all("numba" in line for line in notices)

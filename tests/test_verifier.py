@@ -149,6 +149,15 @@ class TestVerifyCongruence:
         assert reduced.extras["engine"].startswith("reduced")
         assert comparable(reduced) == comparable(exact)
 
+    def test_reduced_engine_never_passes_above_cap(self):
+        # the exponent 16 needs residues beyond 3^15: undecided there, PASS exactly
+        reduced = verify_congruence("MR19", {"alpha": 3, "beta": 0}, 0, exact_threshold=0)
+        assert reduced.status == SKIPPED and reduced.failures == []
+        assert "3^16" in reduced.extras["undecided"]
+        exact = verify_congruence("MR19", {"alpha": 3, "beta": 0}, 0)
+        assert exact.extras["engine"] == "exact" and exact.status == PASS
+        assert exact.extras["holds_to_exponent"] == 16 and "undecided" not in exact.extras
+
 
 class TestBranchCase:
     def test_structure_documented(self):
@@ -203,6 +212,11 @@ class TestIdentities:
         assert exact.extras["diff_valuation"] is None
         assert exact.extras["diff_valuation_capped"] is False
 
+    def test_mod_mode_never_passes_above_cap(self):
+        rep = verify_gf_identity("T23", {"alpha": 3, "beta": 2}, 1, "mod")
+        assert rep.extras["lemma_exponent"] == 17
+        assert rep.status == SKIPPED and "3^17" in rep.extras["undecided"]
+
     def test_class_members_share_one_window(self, monkeypatch):
         calls = []
 
@@ -254,13 +268,6 @@ class TestSuite:
         b = run_suite(SuiteConfig(**self.CFG))
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
-    def test_threaded_matches_serial(self):
-        serial = run_suite(SuiteConfig(**self.CFG))
-        threaded = run_suite(SuiteConfig(**dict(self.CFG, threads=2)))
-        threaded_d = threaded.to_dict()
-        threaded_d["reports"] = threaded_d["reports"]
-        assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(threaded_d, sort_keys=True)
-
     @pytest.mark.parametrize("name, thresholds", [
         ("default", {}),
         ("reduced", {"exact_threshold": 200, "identity_exact_cap": 200}),
@@ -287,6 +294,10 @@ class TestSuite:
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             SuiteConfig.from_json('{"bogus": 1}')
+
+    def test_config_threads_key_ignored(self):
+        # older configs carry "threads"; the suite runs serially either way
+        assert SuiteConfig.from_json('{"threads": 2, "n_max": 5}') == SuiteConfig.from_json('{"n_max": 5}')
 
 
 class TestOneExpansionPerKey:
@@ -319,18 +330,16 @@ class TestOneExpansionPerKey:
                             logged("mod-solve", modseries.solve_monic_sparse_mod, 0))
         return calls
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_each_exact_key_expanded_once(self, kernel_calls, threads):
-        suite = run_suite(SuiteConfig(**dict(self.CFG, threads=threads)))
+    def test_each_exact_key_expanded_once(self, kernel_calls):
+        suite = run_suite(SuiteConfig(**self.CFG))
         expanded = [f"{kind}({ell})" for kind, ell, _order in kernel_calls]
         read = {r.extras["function"] for r in suite.reports} - {"p3"}
         assert all(r.extras.get("engine", "exact") == "exact" for r in suite.reports)
         assert len(read) > 12
         assert sorted(expanded) == sorted(read)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_reduced_base_solved_once(self, kernel_calls, threads):
-        suite = run_suite(SuiteConfig(**dict(self.CFG, threads=threads, exact_threshold=500)))
+    def test_reduced_base_solved_once(self, kernel_calls):
+        suite = run_suite(SuiteConfig(**dict(self.CFG, exact_threshold=500)))
         reduced = {r.extras["function"] for r in suite.reports
                    if r.extras.get("engine", "").startswith("reduced")}
         assert len(reduced) >= 2
