@@ -1,4 +1,4 @@
-"""The three counting functions and their expansion engines.
+"""The three counting functions and their two engines.
 
 Definitions, as ordinary generating functions:
 
@@ -7,16 +7,17 @@ Definitions, as ordinary generating functions:
 * 2-color partition triples       1 / (E(q)^3 * E(q^l)^3)
   (every part in three colors, parts divisible by l in three more)
 
-All three reduce to one shared dense expansion of 1/E(q)^3 followed by a
-single sparse multiply or divide.  The exact and the reduced engine below
-each keep that base and their most recent (kind, l) expansion.  A
-deliberately dumb unbounded-knapsack enumerator over colored parts
-provides the independent oracle for small n; it shares no code with the
-series route.
+All three are the base 1/E(q)^3 times or divided by E(q^l)^3.  The exact
+engine keeps that base in big integers, the reduced one mod 3^15, and
+neither keeps anything else: `values_at` reads coefficients off the base
+as short sums, `count_values(_mod)` expand in full.  A deliberately dumb
+unbounded-knapsack enumerator over colored parts provides the
+independent oracle for small n; it shares no code with the series route.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -51,36 +52,35 @@ class CountingFunction:
 
 
 # -- the two engines ---------------------------------------------------
-#
-# Each engine keeps its base 1/E(q)^3 and the values of the most recent
-# (kind, l) it expanded.  Callers that group their requests by key and
-# ask for each key's largest order first (the suite runner does) expand
-# every key once and build each base once.
 
 _lock = threading.Lock()
 _inv_cube: list[int] = [1]  # coefficients of 1/E(q)^3, grown on demand
-_exact_last: tuple = (None, None)
-_mod_base = np.ones(1, dtype=np.int64)  # 1/E(q)^3 mod 3^STANDARD_EXPONENT
-_mod_last: tuple = (None, None)
+_MOD = 3**modseries.STANDARD_EXPONENT
+_mod_base = np.ones(1, dtype=np.int64)  # 1/E(q)^3 mod _MOD, read-only
 
 
-def _inv_cube_exact(order: int) -> list[int]:
-    """1/E(q)^3 to at least `order`, by back-substitution against the sparse cube.
-
-    The recurrence only ever looks backwards, so the list is extended in
-    place instead of being recomputed.
-    """
-    b = _inv_cube
-    if len(b) < order:
-        terms = jacobi_cube_terms(1, order)[1:]
-        for n in range(len(b), order):
-            acc = 1 if n == 0 else 0
-            for g, c in terms:
-                if g > n:
-                    break
-                acc -= c * b[n - g]
-            b.append(acc)
-    return b
+def _base(order: int, exact: bool):
+    """The engine's base 1/E(q)^3 to at least `order`.  The exact list grows
+    in place by back-substitution against the sparse cube, which only looks
+    backwards; the reduced array is solved again when too short, read-only."""
+    global _mod_base
+    with _lock:
+        if exact:
+            b = _inv_cube
+            terms = jacobi_cube_terms(1, order)[1:] if len(b) < order else []
+            for n in range(len(b), order):
+                acc = 0
+                for g, c in terms:
+                    if g > n:
+                        break
+                    acc -= c * b[n - g]
+                b.append(acc)
+            return b
+        if len(_mod_base) < order:
+            one = np.ones(1, dtype=np.int64)
+            _mod_base = modseries.solve_monic_sparse_mod(jacobi_cube_terms(1, order), one, order, _MOD)
+            _mod_base.setflags(write=False)
+        return _mod_base
 
 
 def _expand(fn: CountingFunction, base, order: int, mul, solve, *mod):
@@ -97,16 +97,9 @@ def _expand(fn: CountingFunction, base, order: int, mul, solve, *mod):
 
 def count_values(fn: CountingFunction, order: int) -> list[int]:
     """Exact coefficients 0..order-1 of the counting function."""
-    global _exact_last
     if order < 1:
         raise ValueError("order must be >= 1")
-    key = (fn.kind, fn.ell)
-    with _lock:
-        last, vals = _exact_last
-        if last != key or len(vals) < order:
-            vals = _expand(fn, _inv_cube_exact(order), order, mul_sparse, solve_monic_sparse)
-            _exact_last = (key, vals)
-        return vals[:order]
+    return _expand(fn, _base(order, True)[:order], order, mul_sparse, solve_monic_sparse)
 
 
 def count_series(fn: CountingFunction, order: int) -> TruncatedSeries:
@@ -115,22 +108,44 @@ def count_series(fn: CountingFunction, order: int) -> TruncatedSeries:
 
 
 def count_values_mod(fn: CountingFunction, order: int) -> np.ndarray:
-    """Coefficients 0..order-1 reduced mod 3**modseries.STANDARD_EXPONENT."""
-    global _mod_base, _mod_last
+    """Coefficients 0..order-1 reduced mod 3**modseries.STANDARD_EXPONENT.
+
+    P3's array is a read-only view of the shared base.
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    mod_std = 3**modseries.STANDARD_EXPONENT
-    key = (fn.kind, fn.ell)
-    with _lock:
-        last, arr = _mod_last
-        if last != key or len(arr) < order:
-            if len(_mod_base) < order:
-                one = np.ones(1, dtype=np.int64)
-                _mod_base = modseries.solve_monic_sparse_mod(jacobi_cube_terms(1, order), one, order, mod_std)
-            arr = _expand(fn, _mod_base, order, modseries.mul_sparse_mod,
-                          modseries.solve_monic_sparse_mod, mod_std)
-            _mod_last = (key, arr)
-    return arr[:order]
+    return _expand(fn, _base(order, False)[:order], order, modseries.mul_sparse_mod,
+                   modseries.solve_monic_sparse_mod, _MOD)
+
+
+def values_at(fn: CountingFunction, indices, exact: bool) -> list[int]:
+    """Coefficients at `indices`, read off the base expanded to the largest.
+
+    P3 is the base; the regular triple sums the cube terms (g, c) of
+    E(q^l)^3, T_l[i] = sum c * base[i - g]; the two-color triple reads
+    1/E(q^l)^3 as the base at q^l, p_{l,3}[i] = sum_k base[k] * base[i - l*k].
+    Reduced sums (mod 3^STANDARD_EXPONENT) reduce each int64 product of two
+    residues first, so they need (mod-1)^2 + order * mod < 2^63 (checked).
+    """
+    indices = list(indices)
+    order = max(indices, default=0) + 1
+    base = _base(order, exact)
+    if fn.kind is Kind.P3:
+        return [int(base[i]) for i in indices]
+    if exact and fn.kind is Kind.TWO_COLOR_TRIPLE:
+        return [sum(map(operator.mul, base, base[i::-fn.ell])) for i in indices]
+    if exact:
+        terms = jacobi_cube_terms(fn.ell, order)
+        return [sum(c * base[i - g] for g, c in terms if g <= i) for i in indices]
+    if (_MOD - 1) ** 2 + order * _MOD >= 2**63:
+        raise OverflowError(f"residue products overflow int64 at order {order}, modulus {_MOD}")
+    if fn.kind is Kind.TWO_COLOR_TRIPLE:
+        pairs = ((base[:i // fn.ell + 1], base[i::-fn.ell]) for i in indices)
+    else:
+        gaps, coeffs = np.array(jacobi_cube_terms(fn.ell, order), dtype=np.int64).T
+        reach = np.searchsorted(gaps, indices, side="right")
+        pairs = ((coeffs[:m] % _MOD, base[i - gaps[:m]]) for i, m in zip(indices, reach))
+    return [int((w * v % _MOD).sum()) % _MOD for w, v in pairs]
 
 
 # -- independent oracle ------------------------------------------------

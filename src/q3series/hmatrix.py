@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 
-from .arith3 import pi3
 from .eta import EtaQuotientSpec, eta_quotient
 from .series import TruncatedSeries
 
@@ -105,10 +104,6 @@ def m_entry(i: int, j: int) -> int:
 def pmij_bound(i: int, j: int) -> int:
     """Divisibility floor for m(i, j): pi3(m(i,j)) >= floor((9j - 3i - 1) / 2)."""
     return (9 * j - 3 * i - 1) // 2
-
-
-def m_valuation_ok(i: int, j: int) -> bool:
-    return pi3(m_entry(i, j)) >= max(pmij_bound(i, j), 0)
 
 
 def huff(a: TruncatedSeries) -> TruncatedSeries:

@@ -83,9 +83,6 @@ class TruncatedSeries:
                 return self.offset + i
         return None
 
-    def is_zero(self) -> bool:
-        return self.valuation() is None
-
     def terms(self) -> list[tuple[int, int]]:
         return [(self.offset + i, c) for i, c in enumerate(self.coeffs) if c]
 

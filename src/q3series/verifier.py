@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .arith3 import is_prime, legendre, pi3
-from .counts import CountingFunction, Kind, count_values, count_values_mod
+from .counts import CountingFunction, Kind, values_at
 from .eta import EtaQuotientSpec, eta_quotient
 from .modseries import STANDARD_EXPONENT
 from .report import FAIL, PASS, SKIPPED, Report
@@ -454,9 +454,7 @@ def _read(fn: CountingFunction, prog: Progression, ns, exact: bool) -> tuple[lis
 
     Capped values come from the reduced engine: residues mod 3^_RESIDUE_CAP.
     """
-    order = prog.index(max(ns, default=0)) + 1
-    values = count_values(fn, order) if exact else count_values_mod(fn, order)
-    return [int(values[prog.index(n)]) for n in ns], not exact
+    return values_at(fn, [prog.index(n) for n in ns], exact), not exact
 
 
 def _scan(deviations: list[int], capped: bool) -> tuple[list[int | None], int | None, bool]:
@@ -669,10 +667,17 @@ def probe_seed_reading(identity_id: str, alpha: int, terms: int = 20) -> dict:
 def implied_congruence_holds(identity_id: str, params: dict, n_max: int = 60,
                              exact_threshold: int = 50_000) -> bool:
     """Check the congruence a passing identity forces on its progression:
-    every coefficient divisible by 3^lemma_exponent."""
+    every coefficient divisible by 3^lemma_exponent.
+
+    A reduced reading that cannot decide the lemma exponent (the rule of
+    `_settle`) raises ValueError instead of answering.
+    """
     fn, prog, _level, lemma_e, _ = _IDENTITY_BY_ID[identity_id].instantiate(params)
     _, exact = _congruence_expansion(prog, n_max, exact_threshold)
-    valuations, _, _ = _scan(*_read(fn, prog, range(n_max + 1), exact))
+    valuations, _, hit_cap = _scan(*_read(fn, prog, range(n_max + 1), exact))
+    undecided = _settle(Report(identity_id), hit_cap, lemma_e).extras.get("undecided")
+    if undecided:
+        raise ValueError(undecided)
     return all(val is None or val >= lemma_e for val in valuations)
 
 
@@ -820,14 +825,18 @@ def _suite_jobs(cfg: SuiteConfig) -> list[tuple[str, str, dict, dict]]:
     return jobs
 
 
-def _expansion(cfg: SuiteConfig, job) -> tuple[CountingFunction, int, bool]:
-    """(function, order, exact engine?) of the expansion a suite job reads."""
+def _read_order(cfg: SuiteConfig, job) -> int:
+    """One past the deepest index a suite job reads; 0 if its parameters are
+    rejected (running it then gives the error report)."""
     jkind, jid, params, opts = job
-    if jkind == "congruence":
-        inst = instantiate(jid, params)
-        return (inst.fn, *_congruence_expansion(inst.progression, opts["n_max"], cfg.exact_threshold))
-    fn, prog, _, _, _ = _IDENTITY_BY_ID[jid].instantiate(params)
-    return (fn, *_identity_expansion(prog, cfg.identity_terms, opts["mode"], cfg.identity_exact_cap))
+    try:
+        if jkind == "congruence":
+            inst = instantiate(jid, params)
+            return _congruence_expansion(inst.progression, opts["n_max"], cfg.exact_threshold)[0]
+        _, prog, _, _, _ = _IDENTITY_BY_ID[jid].instantiate(params)
+        return _identity_expansion(prog, cfg.identity_terms, opts["mode"], cfg.identity_exact_cap)[0]
+    except ValueError:
+        return 0
 
 
 def _error_report(job, exc: ValueError) -> Report:
@@ -840,37 +849,21 @@ def _error_report(job, exc: ValueError) -> Report:
 def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     """Run the whole catalog over the configured grids.
 
-    Jobs are grouped by the expansion they read, (function, engine).
-    Groups run serially in descending order of their largest order; each
-    expands its function once, at that order, and then runs its jobs.
-    Reports come back sorted by (case id, parameters) regardless of
-    grouping.
+    Jobs run serially, deepest read first, so the reduced base is solved
+    once, at the deepest order any job reads it to.  Reports come back
+    sorted by (case id, parameters) regardless of run order.
     """
     cfg = cfg or SuiteConfig()
     reports: list[Report] = []
-    groups: dict[tuple[CountingFunction, bool], list] = {}
-    largest: dict[tuple[CountingFunction, bool], int] = {}
-    for job in _suite_jobs(cfg):
-        try:
-            fn, order, exact = _expansion(cfg, job)
-        except ValueError as exc:
-            reports.append(_error_report(job, exc))
-            continue
-        groups.setdefault((fn, exact), []).append(job)
-        largest[fn, exact] = max(largest.get((fn, exact), 0), order)
-
-    def run_one(job) -> Report:
+    for job in sorted(_suite_jobs(cfg), key=lambda job: -_read_order(cfg, job)):
         jkind, jid, params, opts = job
         try:
             if jkind == "congruence":
-                return verify_congruence(jid, params, opts["n_max"], cfg.exact_threshold)
-            return verify_gf_identity(jid, params, cfg.identity_terms, opts["mode"],
-                                      cfg.identity_exact_cap)
+                reports.append(verify_congruence(jid, params, opts["n_max"], cfg.exact_threshold))
+            else:
+                reports.append(verify_gf_identity(jid, params, cfg.identity_terms, opts["mode"],
+                                                  cfg.identity_exact_cap))
         except ValueError as exc:
-            return _error_report(job, exc)
-
-    for fn, exact in sorted(groups, key=lambda k: (-largest[k], k[0].label(), k[1])):
-        (count_values if exact else count_values_mod)(fn, largest[fn, exact])
-        reports.extend(map(run_one, groups[fn, exact]))
+            reports.append(_error_report(job, exc))
     reports.sort(key=lambda r: (r.case, json.dumps(r.params, sort_keys=True, default=str)))
     return SuiteReport(reports=reports).finalize()

@@ -9,6 +9,8 @@ audited every sampled point).  A FAIL entry must be *documented*: the
 suite has to produce the counterexample payload, never crash.
 """
 
+import hashlib
+import json
 import random
 import time
 
@@ -39,6 +41,16 @@ def default_suite():
     suite = run_suite(default_suite_config())
     elapsed = time.monotonic() - t0
     return suite, elapsed
+
+
+# sha256 of `q3series verify suite --format json` on the packaged default grids
+DEFAULT_SUITE_SHA256 = "cb225afa8e62d8e15ca147b11e389e54cc661bfd8ca93a28ece81dd532157f6a"
+
+
+def test_default_suite_digest(default_suite):
+    suite, _ = default_suite
+    text = json.dumps(suite.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SUITE_SHA256
 
 
 def grid(suite, case):

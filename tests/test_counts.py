@@ -1,9 +1,11 @@
 """Counting functions: series route against the enumeration oracle."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from q3series import counts
 from q3series.counts import (CountingFunction, Kind, count_series, count_values,
-                             count_values_mod, enumerate_count)
+                             count_values_mod, enumerate_count, values_at)
 
 
 class TestSeriesRoute:
@@ -75,3 +77,41 @@ class TestReducedRoute:
             exact = count_values(fn, 1500)
             reduced = count_values_mod(fn, 1500)
             assert [v % mod for v in exact] == [int(r) for r in reduced]
+
+    def test_shared_base_is_read_only(self):
+        p3 = count_values_mod(CountingFunction(Kind.P3), 10)
+        regular = CountingFunction(Kind.REGULAR_TRIPLE, 3)
+        before = count_values_mod(regular, 10).tolist()
+        with pytest.raises(ValueError):
+            p3[1] = 12345
+        assert count_values_mod(regular, 10).tolist() == before
+        assert values_at(CountingFunction(Kind.P3), [1], False) == [3]
+
+
+class TestPointValues:
+    """values_at against the full expansion of each engine."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(list(Kind)), ell=st.sampled_from([1, 2, 3, 5, 9, 27, 81]),
+           order=st.integers(1, 800), picks=st.lists(st.integers(0, 10**6), max_size=12))
+    @example(kind=Kind.TWO_COLOR_TRIPLE, ell=81, order=81, picks=[])
+    @example(kind=Kind.REGULAR_TRIPLE, ell=1, order=1, picks=[])
+    @example(kind=Kind.TWO_COLOR_TRIPLE, ell=1, order=800, picks=[799, 0, 799])
+    def test_matches_full_expansion(self, kind, ell, order, picks):
+        # 0, every index below l, order - 1 and random ones, unsorted, repeats kept
+        fn = CountingFunction(kind, ell)
+        indices = [order - 1, *range(min(ell, order)), *(p % order for p in picks)]
+        exact = count_values(fn, order)
+        reduced = count_values_mod(fn, order)
+        assert values_at(fn, indices, True) == [exact[i] for i in indices]
+        assert values_at(fn, indices, False) == [int(reduced[i]) for i in indices]
+
+    def test_no_indices(self):
+        assert values_at(CountingFunction(Kind.TWO_COLOR_TRIPLE, 2), [], True) == []
+
+    def test_reduced_overflow_guard(self, monkeypatch):
+        fn = CountingFunction(Kind.TWO_COLOR_TRIPLE, 3)
+        values_at(fn, [5], False)  # the base already reaches index 5: no solve below
+        monkeypatch.setattr(counts, "_MOD", 3**20)  # (3^20 - 1)^2 >= 2^63
+        with pytest.raises(OverflowError):
+            values_at(fn, [5], False)

@@ -198,7 +198,7 @@ class TestIdentities:
         def expanded(*args):
             raise AssertionError("expanded before the mode was checked")
 
-        for name in ("count_values", "count_values_mod", "_rhs_window"):
+        for name in ("values_at", "_rhs_window"):
             monkeypatch.setattr(verifier, name, expanded)
         with pytest.raises(ValueError, match="mode"):
             verify_gf_identity("T31", {"alpha": 0, "beta": 1, "ell": 6}, 16, "Auto")
@@ -257,6 +257,11 @@ class TestIdentities:
             assert rep.status == PASS
             assert implied_congruence_holds(iid, params, n_max=40)
 
+    def test_implied_congruence_undecided_above_cap(self):
+        # lemma exponent 17: residues mod 3^15 that read zero cannot answer True
+        with pytest.raises(ValueError, match=r"3\^17"):
+            implied_congruence_holds("T23", {"alpha": 3, "beta": 2}, n_max=0, exact_threshold=0)
+
 
 class TestSuite:
     CFG = dict(alphas=(0,), betas=(0,), n_max=30, n_max_small=40, priors_betas=(0,),
@@ -300,19 +305,18 @@ class TestSuite:
         assert SuiteConfig.from_json('{"threads": 2, "n_max": 5}') == SuiteConfig.from_json('{"n_max": 5}')
 
 
-class TestOneExpansionPerKey:
-    """run_suite expands each (function, engine) once and solves each base once."""
+class TestSuiteReadsPoints:
+    """run_suite reads coefficients off the shared bases: it expands no key
+    and solves the reduced base once."""
 
-    # 14 exact keys at orders up to 963
+    # keys at orders up to 963; those above 500 read the reduced engine
     CFG = dict(alphas=(0, 1), betas=(0,), n_max=3, n_max_small=6, priors_betas=(0,), priors_n_max=6,
                prime_n_max=3, conjecture_ms=(0,), conjecture_n_max=3, identity_terms=4,
-               class_reps_per_sign=1)
+               class_reps_per_sign=1, exact_threshold=500)
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """Cold engines; every sparse step is logged as (kernel, l, order)."""
-        monkeypatch.setattr(counts, "_exact_last", (None, None))
-        monkeypatch.setattr(counts, "_mod_last", (None, None))
+        """A cold reduced base; every sparse kernel call is logged as (kernel, l, order)."""
         monkeypatch.setattr(counts, "_mod_base", np.ones(1, dtype=np.int64))
         calls = []
 
@@ -323,24 +327,25 @@ class TestOneExpansionPerKey:
                 return kernel(*args)
             return run
 
-        monkeypatch.setattr(counts, "mul_sparse", logged("regular", counts.mul_sparse, 1))
-        monkeypatch.setattr(counts, "solve_monic_sparse",
-                            logged("twocolor", counts.solve_monic_sparse, 0))
+        monkeypatch.setattr(counts, "mul_sparse", logged("mul", counts.mul_sparse, 1))
+        monkeypatch.setattr(counts, "solve_monic_sparse", logged("solve", counts.solve_monic_sparse, 0))
+        monkeypatch.setattr(modseries, "mul_sparse_mod", logged("mod-mul", modseries.mul_sparse_mod, 1))
         monkeypatch.setattr(modseries, "solve_monic_sparse_mod",
                             logged("mod-solve", modseries.solve_monic_sparse_mod, 0))
         return calls
 
-    def test_each_exact_key_expanded_once(self, kernel_calls):
+    def functions_by_engine(self):
         suite = run_suite(SuiteConfig(**self.CFG))
-        expanded = [f"{kind}({ell})" for kind, ell, _order in kernel_calls]
-        read = {r.extras["function"] for r in suite.reports} - {"p3"}
-        assert all(r.extras.get("engine", "exact") == "exact" for r in suite.reports)
-        assert len(read) > 12
-        assert sorted(expanded) == sorted(read)
+        engines = {}
+        for r in suite.reports:
+            engines.setdefault(r.extras.get("engine", "exact"), set()).add(r.extras["function"])
+        return engines
+
+    def test_no_key_expanded(self, kernel_calls):
+        engines = self.functions_by_engine()
+        assert len(engines["exact"] - {"p3"}) > 12 and len(engines["reduced(3^15)"]) >= 2
+        assert [c for c in kernel_calls if c[0] != "mod-solve"] == []
 
     def test_reduced_base_solved_once(self, kernel_calls):
-        suite = run_suite(SuiteConfig(**dict(self.CFG, exact_threshold=500)))
-        reduced = {r.extras["function"] for r in suite.reports
-                   if r.extras.get("engine", "").startswith("reduced")}
-        assert len(reduced) >= 2
-        assert [c for c in kernel_calls if c[:2] == ("mod-solve", 1)] == [("mod-solve", 1, 963)]
+        self.functions_by_engine()
+        assert kernel_calls == [("mod-solve", 1, 963)]
