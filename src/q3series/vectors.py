@@ -7,7 +7,14 @@ descends by one huffing step per level; a step sends a vector ``v`` to
 
 with small offsets (b, c) fixed by the family and the parity of the
 current level.  The band of the m-table makes every such sum finite and
-keeps all supports finite, roughly tripling per level.
+keeps all supports finite, roughly tripling per level (1, 3, 10, 30, ...).
+
+All levels come from one demand-driven chain per (family, alpha), kept
+in one dict under one lock.  The X chain is seeded by x_1 and its level
+k is x_k; level 1 of every other chain is the X level that seeds it.
+Each level is stored with the window it is exact on (the whole support
+once a demand reaches it), and a request for a longer window recomputes
+only the levels below it whose windows are too short.
 
 Each family obeys a 3-adic lower bound of the shape
 
@@ -19,6 +26,7 @@ assert the bound on every materialized entry.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -147,100 +155,68 @@ def _step_vector(prev: list[int], b: int, c: int, jcap: int) -> list[int]:
     return out
 
 
-def _support_caps(seed_len: int, levels: int) -> list[int]:
-    caps = [seed_len]
-    for _ in range(levels - 1):
-        caps.append(3 * caps[-1] + 2)
-    return caps
+_X_LEVELS = 8  # base vectors beyond x_8 are not needed at desk scale
+_lock = threading.Lock()
+# (family, alpha) -> [(entries, window), ...] for levels 1, 2, ...; entries
+# 1..window are exact (trailing zeros trimmed), window inf is the whole support
+_chains: dict[tuple[Family, int], list[tuple[list[int], float]]] = {}
 
 
-_x_lock = threading.Lock()
-_x_cache: list[list[int]] = [[9]]  # full supports of x_1, x_2, ...
+def _level(family: Family, alpha: int, mu: int, need: float) -> tuple[list[int], float]:
+    """(entries, window) of level mu of the (family, alpha) chain; window >= need.
+
+    Entry j of a level reads entry i of the one below through
+    m(4i + b, i + j + c), which vanishes outside the band
+    ceil(row / 3) <= column <= row.  So entries 1..J read entries 1..3J
+    (3c - b <= 0 for every step), and a level stepped from a whole
+    support of length L is zero past 3L + 2 (b - c <= 2).  The X chain
+    does not depend on alpha and starts from x_1 = (9,); level 1 of every
+    other chain is an X level, read to the same window.  The caller
+    holds _lock.
+    """
+    if mu < 1:
+        raise ValueError("level >= 1 required")
+    if family is Family.X:
+        if mu > _X_LEVELS:
+            raise ValueError(f"base vectors beyond k={_X_LEVELS} are not needed at desk scale")
+        alpha = 0
+    chain = _chains.setdefault((family, alpha), [])
+    if mu <= len(chain) and chain[mu - 1][1] >= need:
+        return chain[mu - 1]
+    if family is Family.X and mu == 1:
+        level = [9], math.inf
+    elif mu == 1:
+        level = _level(Family.X, 0, 2 * alpha + (2 if family is Family.Z else 1), need)
+    else:
+        prev, prev_window = _level(family, alpha, mu - 1, 3 * need)
+        reach = 3 * len(prev) + 2 if prev_window == math.inf else math.inf
+        b, c = _STEP[family][(mu - 1) % 2]
+        level = _step_vector(prev, b, c, min(need, reach)), (math.inf if need >= reach else need)
+    chain[mu - 1:mu] = [level]
+    return level
 
 
-def _x_levels(k: int) -> list[int]:
-    """Full support of the base vector x_k (supports stay small: 1, 3, 10, 30, ...)."""
-    if k < 1:
-        raise ValueError("k >= 1 required")
-    if k > 8:
-        raise ValueError("base vectors beyond k=8 are not needed at desk scale")
-    with _x_lock:
-        while len(_x_cache) < k:
-            lvl = len(_x_cache)  # stepping from x_lvl to x_{lvl+1}
-            b, c = _STEP[Family.X][lvl % 2]
-            cap = 3 * len(_x_cache[-1]) + 2
-            _x_cache.append(_step_vector(_x_cache[-1], b, c, cap))
-        return list(_x_cache[k - 1])
+def _entries(family: Family, alpha: int, mu: int, jmax: int) -> tuple[int, ...]:
+    """Entries 1..jmax of level mu of the (family, alpha) chain."""
+    with _lock:
+        vals, _ = _level(family, alpha, mu, jmax)
+    return tuple((vals + [0] * jmax)[:jmax])
 
 
 def x_vector(k: int, jmax: int) -> CoeffVector:
-    """Base vector x_k padded or truncated to jmax entries."""
-    vals = _x_levels(k)
-    vals = (vals + [0] * jmax)[:jmax]
-    alpha = (k - 1) // 2
-    return CoeffVector(Family.X, alpha, k, jmax, tuple(vals))
-
-
-def _seed_level(family: Family, alpha: int) -> list[int]:
-    if family is Family.Z:
-        return _x_levels(2 * alpha + 2)
-    return _x_levels(2 * alpha + 1)
-
-
-_fam_lock = threading.Lock()
-_fam_cache: dict[tuple[Family, int], list[list[int]]] = {}
-_fam_caps: dict[tuple[Family, int], list[int]] = {}
-
-
-def _family_levels(family: Family, alpha: int, mu: int, jneed: int) -> list[int]:
-    """Level mu of the family, materialized at least to min(jneed, support).
-
-    Backward demand: producing entries 1..J of a level consumes entries
-    1..3J of the previous one (the m-band kills everything farther out),
-    so the chain is recomputed top-down with tripling targets whenever
-    the cached prefix is too short.
-    """
-    if family is Family.X:
-        raise ValueError("use x_vector for the base family")
-    key = (family, alpha)
-    with _fam_lock:
-        seed = _seed_level(family, alpha)
-        caps = _support_caps(len(seed), mu)
-        # windows each level must be materialized to; demands[i] <= caps[i],
-        # and anything beyond caps[i] is provably zero.
-        demands = [0] * mu
-        demands[-1] = min(jneed, caps[-1])
-        for lvl in range(mu - 2, -1, -1):
-            demands[lvl] = min(3 * demands[lvl + 1] + 2, caps[lvl])
-        levels = _fam_cache.get(key, [seed])
-        have = _fam_caps.get(key, [len(seed)])
-        if len(levels) < mu or any(have[i] < demands[i] for i in range(mu)):
-            levels = [seed]
-            have = [len(seed)]
-            for lvl in range(1, mu):
-                b, c = _STEP[family][lvl % 2]
-                target = demands[lvl]
-                levels.append(_step_vector(levels[-1], b, c, target))
-                have.append(target)
-            _fam_cache[key] = levels
-            _fam_caps[key] = have
-        # trailing zeros are trimmed; padding past the computed window is
-        # sound because demands[mu-1] >= min(jneed, caps[mu-1])
-        return list(levels[mu - 1])
+    """Base vector x_k padded or truncated to jmax entries; k must lie in 1..8."""
+    return family_vector(Family.X, (k - 1) // 2, k, jmax)
 
 
 def family_vector(family: Family, alpha: int, mu: int, jmax: int) -> CoeffVector:
     """Family vector at (alpha, mu) with entries 1..jmax.
 
-    Level 1 is the family's base seed (x_{2 alpha + 1}, or x_{2 alpha + 2}
-    for the even residue-class family); higher levels follow the family's
-    alternating huffing step.
+    The base family's level mu is x_mu, with alpha = (mu - 1) // 2.  For
+    the other families level 1 is the family's base seed (x_{2 alpha + 1},
+    or x_{2 alpha + 2} for the even residue-class family); higher levels
+    follow the family's alternating huffing step.
     """
-    if family is Family.X:
-        return x_vector(mu, jmax)
-    vals = _family_levels(family, alpha, mu, jmax)
-    vals = (vals + [0] * jmax)[:jmax]
-    return CoeffVector(family, alpha, mu, jmax, tuple(vals))
+    return CoeffVector(family, alpha, mu, jmax, _entries(family, alpha, mu, jmax))
 
 
 def check_valuation_bounds(family: Family, alpha_max: int, mu_max: int, jmax: int) -> Report:
@@ -256,10 +232,7 @@ def check_valuation_bounds(family: Family, alpha_max: int, mu_max: int, jmax: in
     else:
         grid = [(a, mu) for a in range(alpha_max + 1) for mu in range(1, mu_max + 1)]
     for alpha, mu in grid:
-        if family is Family.X:
-            vals = (_x_levels(mu) + [0] * jmax)[:jmax]
-        else:
-            vals = (_family_levels(family, alpha, mu, jmax) + [0] * jmax)[:jmax]
+        vals = _entries(family, alpha, mu, jmax)
         rep.checked += len(vals)
         for bad in bound_violations(vals, family, alpha, mu):
             bad.update({"alpha": alpha, "mu": mu})

@@ -74,6 +74,9 @@ class CaseInstance:
 # -- the congruence catalog ----------------------------------------------
 
 
+_B_DEN = 8  # every progression shift in both catalogs is B_num / 8
+
+
 def _pow3(e: int) -> int:
     return 3**e
 
@@ -107,7 +110,6 @@ class CongruenceCase:
     ell: Callable[[dict], int]
     A: Callable[[dict], int]
     B_num: Callable[[dict], int]
-    B_den: int
     exponent: Callable[[dict], int]
     param_names: tuple[str, ...]
     prime_class: str | None = None  # "3mod4" | "nonresidue-3" | "odd"
@@ -130,7 +132,7 @@ class CongruenceCase:
                 raise ValueError(f"{self.id}: p={p} must be an odd prime")
         ell = self.ell(params)
         fn = CountingFunction(self.kind, ell)
-        prog = Progression(self.A(params), _exact_div(self.B_num(params), self.B_den))
+        prog = Progression(self.A(params), _exact_div(self.B_num(params), _B_DEN))
         n_filter = None
         if self.filter_p:
             p = params["p"]
@@ -147,158 +149,158 @@ _CASES: list[CongruenceCase] = [
     # single odd power, plain grid
     CongruenceCase("MR1", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-                   lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
     CongruenceCase("MR2", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2), _mt1_b(14), 8,
+                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2), _mt1_b(14),
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 4, ("alpha", "beta")),
     CongruenceCase("MR3", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2), _mt1_b(22), 8,
+                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2), _mt1_b(22),
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 5, ("alpha", "beta")),
     CongruenceCase("MR4", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) * P["p"] ** (2 * P["k"] + 1),
                    lambda P: 2 * P["p"] ** (2 * P["k"] + 2) * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2)
-                   - _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   - _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 4, ("alpha", "beta", "p", "k"),
                    prime_class="3mod4", filter_p=True),
     # single even power
     CongruenceCase("MR5", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
                    lambda P: _pow3(2 * P["alpha"] + P["beta"] + 1),
-                   lambda P: 8 * _pow3(2 * P["alpha"] + P["beta"] + 1) - _pow3(2 * P["alpha"] + 2) + 1, 8,
+                   lambda P: 8 * _pow3(2 * P["alpha"] + P["beta"] + 1) - _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
     CongruenceCase("MR6", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
                    lambda P: _pow3(2 * P["alpha"] + P["beta"] + 2),
-                   lambda P: 16 * _pow3(2 * P["alpha"] + P["beta"] + 1) - _pow3(2 * P["alpha"] + 2) + 1, 8,
+                   lambda P: 16 * _pow3(2 * P["alpha"] + P["beta"] + 1) - _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 3, ("alpha", "beta")),
     # odd residue class
     CongruenceCase("MR7", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell")),
     CongruenceCase("MR8", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 11 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + 2 * _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   lambda P: 11 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 4, ("alpha", "beta", "ell")),
     CongruenceCase("MR9", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 19 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + 2 * _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   lambda P: 19 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 5, ("alpha", "beta", "ell")),
     CongruenceCase("MR10", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 4, ("alpha", "beta", "ell"),
                    branch=True),
     CongruenceCase("MR11", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) * P["p"] ** (2 * P["k"] + 1),
                    lambda P: P["p"] ** (2 * P["k"] + 2) * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2)
-                   + 2 * _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   + 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 4, ("alpha", "beta", "ell", "p", "k"),
                    prime_class="odd", filter_p=True),
     # even residue class
     CongruenceCase("MR12", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, False)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 2) + 1, 8,
+                   lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell")),
     CongruenceCase("MR13", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, False)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
-                   lambda P: 13 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 2) + 1, 8,
+                   lambda P: 13 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 5, ("alpha", "beta", "ell")),
     CongruenceCase("MR14", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, False)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
-                   lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 3) + 2 * _pow3(2 * P["alpha"] + 2) + 1, 8,
+                   lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 3) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 6, ("alpha", "beta", "ell")),
     # two-product, single odd power
     CongruenceCase("MR15", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
                    lambda P: _pow3(2 * P["alpha"] + P["beta"] + 1),
-                   lambda P: 4 * _pow3(2 * P["alpha"] + P["beta"] + 1) + _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   lambda P: 4 * _pow3(2 * P["alpha"] + P["beta"] + 1) + _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta")),
     CongruenceCase("MR16", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
                    lambda P: _pow3(2 * P["alpha"] + P["beta"] + 1) * P["p"] ** (2 * P["k"] + 1),
                    lambda P: 4 * P["p"] ** (2 * P["k"] + 2) * _pow3(2 * P["alpha"] + P["beta"] + 1)
-                   + _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   + _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 4, ("alpha", "beta", "p", "k"),
                    prime_class="nonresidue-3", filter_p=True),
     # two-product, single even power
     CongruenceCase("MR17", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-                   lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + _pow3(2 * P["alpha"] + 2) + 1, 8,
+                   lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
     CongruenceCase("MR171", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 10 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + _pow3(2 * P["alpha"] + 2) + 1, 8,
+                   lambda P: 10 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 3, ("alpha", "beta")),
     CongruenceCase("MR18", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
-                   lambda P: 14 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + _pow3(2 * P["alpha"] + 2) + 1, 8,
+                   lambda P: 14 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 6, ("alpha", "beta")),
     CongruenceCase("MR19", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
-                   lambda P: 22 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + _pow3(2 * P["alpha"] + 2) + 1, 8,
+                   lambda P: 22 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 7, ("alpha", "beta")),
     CongruenceCase("MR20", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) * P["p"] ** (2 * P["k"] + 1),
                    lambda P: 2 * P["p"] ** (2 * P["k"] + 2) * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1)
-                   + _pow3(2 * P["alpha"] + 2) + 1, 8,
+                   + _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 4, ("alpha", "beta", "p", "k"),
                    prime_class="3mod4", filter_p=True),
     # two-product, odd residue class
     CongruenceCase("MR21", Kind.TWO_COLOR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-                   lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) - 2 * _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 2, ("alpha", "beta", "ell")),
     CongruenceCase("MR22", Kind.TWO_COLOR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 23 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) - 2 * _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   lambda P: 23 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell")),
     CongruenceCase("MR23", Kind.TWO_COLOR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - 2 * _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 3, ("alpha", "beta", "ell")),
     CongruenceCase("MR24", Kind.TWO_COLOR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
-                   lambda P: 13 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - 2 * _pow3(2 * P["alpha"] + 1) + 1, 8,
+                   lambda P: 13 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell")),
     # previously published families, regression targets
     CongruenceCase("G1", Kind.REGULAR_TRIPLE, lambda P: 3,
                    lambda P: _pow3(2 * P["beta"] + 1),
-                   lambda P: 2 * (_pow3(2 * P["beta"] + 2) - 1), 8,
+                   lambda P: 2 * (_pow3(2 * P["beta"] + 2) - 1),
                    lambda P: 2 * P["beta"] + 2, ("beta",)),
     CongruenceCase("B1", Kind.REGULAR_TRIPLE, lambda P: 9,
                    lambda P: _pow3(P["beta"] + 1),
-                   lambda P: 8 * (_pow3(P["beta"] + 1) - 1), 8,
+                   lambda P: 8 * (_pow3(P["beta"] + 1) - 1),
                    lambda P: 2 * P["beta"] + 2, ("beta",)),
     CongruenceCase("B2", Kind.REGULAR_TRIPLE, lambda P: 9,
                    lambda P: _pow3(P["beta"] + 2),
-                   lambda P: 8 * (2 * _pow3(P["beta"] + 1) - 1), 8,
+                   lambda P: 8 * (2 * _pow3(P["beta"] + 1) - 1),
                    lambda P: 2 * P["beta"] + 3, ("beta",)),
     CongruenceCase("B3", Kind.REGULAR_TRIPLE, lambda P: 27,
                    lambda P: _pow3(2 * P["beta"] + 3),
-                   lambda P: 2 * (_pow3(2 * P["beta"] + 4) - 13), 8,
+                   lambda P: 2 * (_pow3(2 * P["beta"] + 4) - 13),
                    lambda P: 2 * P["beta"] + 5, ("beta",)),
     CongruenceCase("B4", Kind.REGULAR_TRIPLE, lambda P: 27,
                    lambda P: _pow3(2 * P["beta"] + 4),
-                   lambda P: 2 * (P["p"] * _pow3(2 * P["beta"] + 3) - 13), 8,
+                   lambda P: 2 * (P["p"] * _pow3(2 * P["beta"] + 3) - 13),
                    lambda P: 2 * P["beta"] + 7, ("beta", "p"), prime_class="3mod4"),
     CongruenceCase("T1", Kind.TWO_COLOR_TRIPLE, lambda P: 3,
                    lambda P: _pow3(P["beta"] + 1),
-                   lambda P: 4 * (_pow3(P["beta"] + 1) + 1), 8,
+                   lambda P: 4 * (_pow3(P["beta"] + 1) + 1),
                    lambda P: P["beta"] + 2, ("beta",)),
     CongruenceCase("T2", Kind.TWO_COLOR_TRIPLE, lambda P: 9,
                    lambda P: _pow3(2 * P["beta"] + 1),
-                   lambda P: 2 * (_pow3(2 * P["beta"] + 1) + 5), 8,
+                   lambda P: 2 * (_pow3(2 * P["beta"] + 1) + 5),
                    lambda P: 2 * P["beta"] + 2, ("beta",)),
     CongruenceCase("T3", Kind.TWO_COLOR_TRIPLE, lambda P: 9,
                    lambda P: _pow3(2 * P["beta"] + 2),
-                   lambda P: 2 * (_pow3(2 * P["beta"] + 3) + 5), 8,
+                   lambda P: 2 * (_pow3(2 * P["beta"] + 3) + 5),
                    lambda P: 2 * P["beta"] + 4, ("beta",)),
     # open statements, probed but never gating
     CongruenceCase("BC1", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["k"]),
                    lambda P: _pow3(P["m"] + 2 * P["k"] - 1),
-                   lambda P: 8 * _pow3(P["m"] + 2 * P["k"] - 1) - (_pow3(2 * P["k"]) - 1), 8,
+                   lambda P: 8 * _pow3(P["m"] + 2 * P["k"] - 1) - (_pow3(2 * P["k"]) - 1),
                    lambda P: 3 * P["k"] + 2 * P["m"] - 1, ("k", "m"), conjecture=True),
     CongruenceCase("BC2", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["k"] - 1),
                    lambda P: _pow3(2 * P["m"] + 2 * P["k"] - 1),
-                   lambda P: 2 * _pow3(2 * P["m"] + 2 * P["k"]) - _pow3(2 * P["k"] - 1) + 1, 8,
+                   lambda P: 2 * _pow3(2 * P["m"] + 2 * P["k"]) - _pow3(2 * P["k"] - 1) + 1,
                    lambda P: 3 * P["k"] + 2 * P["m"] - 1, ("k", "m"), conjecture=True),
 ]
 
@@ -314,7 +316,7 @@ class GfIdentity:
 
     The j-th right-hand term is  coeff_j * q^{j-1} * E(q^3)^{12j+num} / E(q)^{12j+den};
     its q-valuation is j-1, so a window of `terms` coefficients needs
-    j <= terms + 1 only.
+    j <= terms only.
     """
 
     id: str
@@ -328,7 +330,6 @@ class GfIdentity:
     den: int
     lemma_exponent: Callable[[dict], int]
     param_names: tuple[str, ...]
-    class_family: bool = False
 
     def instantiate(self, params: dict) -> tuple[CountingFunction, Progression, int, int, dict]:
         missing = [k for k in self.param_names if k not in params]
@@ -337,7 +338,7 @@ class GfIdentity:
         params = {k: int(params[k]) for k in self.param_names}
         ell = self.ell(params)
         fn = CountingFunction(Kind.P3) if self.kind is None else CountingFunction(self.kind, ell)
-        prog = Progression(self.A(params), _exact_div(self.B_num(params), 8))
+        prog = Progression(self.A(params), _exact_div(self.B_num(params), _B_DEN))
         return fn, prog, self.level(params), self.lemma_exponent(params), params
 
 
@@ -384,32 +385,32 @@ _IDENTITIES: list[GfIdentity] = [
                lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
                lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
-               0, 3, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 2, ("alpha", "beta", "ell"), class_family=True),
+               0, 3, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 2, ("alpha", "beta", "ell")),
     GfIdentity("T25", Kind.TWO_COLOR_TRIPLE, Family.W, lambda P: 2 * P["beta"] + 2,
                lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
                lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
-               -3, 0, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 3, ("alpha", "beta", "ell"), class_family=True),
+               -3, 0, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 3, ("alpha", "beta", "ell")),
     GfIdentity("T31", Kind.REGULAR_TRIPLE, Family.Y, lambda P: 2 * P["beta"] + 1,
                lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
                lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
-               -6, -3, lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell"), class_family=True),
+               -6, -3, lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell")),
     GfIdentity("T311", Kind.REGULAR_TRIPLE, Family.Y, lambda P: 2 * P["beta"] + 2,
                lambda P: _check_class_member(P["ell"], _class_base(P, True)),
                lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
                lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
-               -9, -6, lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell"), class_family=True),
+               -9, -6, lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell")),
     GfIdentity("T32", Kind.REGULAR_TRIPLE, Family.Z, lambda P: 2 * P["beta"] + 1,
                lambda P: _check_class_member(P["ell"], _class_base(P, False)),
                lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
                lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
-               -3, 0, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell"), class_family=True),
+               -3, 0, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell")),
     GfIdentity("T321", Kind.REGULAR_TRIPLE, Family.Z, lambda P: 2 * P["beta"] + 2,
                lambda P: _check_class_member(P["ell"], _class_base(P, False)),
                lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
                lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 3) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
-               0, 3, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 6, ("alpha", "beta", "ell"), class_family=True),
+               0, 3, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 6, ("alpha", "beta", "ell")),
 ]
 
 _IDENTITY_BY_ID = {i.id: i for i in _IDENTITIES}
@@ -574,18 +575,20 @@ def _weighted_quotient_window(vec, num: int, den: int, terms: int) -> list[int]:
 
     The j-th term is the j=1 quotient times (q E(q^3)^12 / E(q)^12)^{j-1};
     the running product keeps offset j-1 and a window of `terms`
-    coefficients, and terms beyond j = terms+1 start past the window.
+    coefficients.  Terms with j > terms start past the window, so the
+    loop runs over the weights inside it and ends at the last nonzero one.
     """
+    weights = list(vec.values[:terms])
+    while weights and not weights[-1]:
+        weights.pop()
     total = [0] * terms
     quotient = eta_quotient(EtaQuotientSpec(0, ((3, 12 + num), (1, -(12 + den)))), terms)
     ratio = eta_quotient(EtaQuotientSpec(1, ((3, 12), (1, -12))), terms + 1)
-    for j in range(1, terms + 2):
-        c = vec.value(j)
-        if c:
-            for e in range(j - 1, terms):
-                total[e] += c * quotient.coeff(e)
-        if j <= terms:
+    for j, c in enumerate(weights, start=1):
+        if j > 1:
             quotient = quotient.mul(ratio)
+        for e in range(j - 1, terms):
+            total[e] += c * quotient.coeff(e)
     return total
 
 
@@ -684,6 +687,10 @@ def implied_congruence_holds(identity_id: str, params: dict, n_max: int = 60,
 # -- suite ------------------------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class SuiteConfig:
     """Parameter grids for a full catalog run; ships as data/suite_default.json."""
@@ -712,15 +719,30 @@ class SuiteConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SuiteConfig":
-        """Parse a config.  A "threads" key, which older configs carry, is
-        accepted and ignored: the suite runs serially."""
+        """Parse a config; a malformed one is a ValueError naming the field.
+
+        Grids are lists of integers, `include` is null or a list of ids,
+        every other field is an integer.  A "threads" integer, which older
+        configs carry, is accepted and ignored: the suite runs serially.
+        """
         raw = json.loads(text)
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known - {"threads"}
+        if not isinstance(raw, dict):
+            raise ValueError("a suite config must be a JSON object")
+        defaults = {f.name: f.default for f in fields(cls)} | {"threads": 1}
+        unknown = set(raw) - set(defaults)
         if unknown:
             raise ValueError(f"unknown suite config keys: {sorted(unknown)}")
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items() if k != "threads"}
-        return cls(**kwargs)
+        for name, v in raw.items():
+            if isinstance(defaults[name], tuple):
+                want, ok = "a list of integers", isinstance(v, list) and all(map(_is_int, v))
+            elif defaults[name] is None:
+                want, ok = "null or a list of strings", v is None or (
+                    isinstance(v, list) and all(isinstance(x, str) for x in v))
+            else:
+                want, ok = "an integer", _is_int(v)
+            if not ok:
+                raise ValueError(f"suite config field {name!r} must be {want}, not {v!r}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items() if k != "threads"})
 
     def to_json(self) -> str:
         out = {}

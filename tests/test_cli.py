@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from q3series.cli import main
 
 
@@ -129,6 +131,22 @@ class TestVerify:
             code, out, err = run_cli(capsys, "verify", "suite", *extra)
             assert (code, out) == serial[:2]
             assert len(err.splitlines()) == 1 and "serially" in err
+
+
+class TestSuiteConfigErrors:
+    @pytest.mark.parametrize("doc", [
+        "5",                      # not an object
+        '{"alphas": 5}',          # a grid that is not a list of integers
+        '{"threads": "2"}',       # threads not an integer
+        '{"threads": null}',
+        '{"include": "MR171"}',   # a string would match ids by substring
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "verify", "suite", "--config", str(path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 REPORT_SCHEMA = {

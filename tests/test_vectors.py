@@ -2,6 +2,7 @@
 
 import pytest
 
+from q3series import vectors
 from q3series.arith3 import pi3
 from q3series.hmatrix import m_entry
 from q3series.vectors import (Family, bound_violations, check_valuation_bounds,
@@ -52,6 +53,97 @@ class TestFamilySeedsAndSteps:
         short = family_vector(Family.Z, 1, 4, 3).values
         long = family_vector(Family.Z, 1, 4, 9).values
         assert long[:3] == short
+
+
+@pytest.fixture
+def cold_chains():
+    """Empty the level cache before and after the test."""
+    vectors._chains.clear()
+    yield
+    vectors._chains.clear()
+
+
+def _whole_level(family, alpha, mu):
+    """Level mu of a non-base family, every level stepped at its whole
+    support from x_1 = (9,), with no windows: the reference."""
+    def step(vec, fam, lvl):
+        b, c = vectors._STEP[fam][lvl % 2]
+        return [sum(v * m_entry(4 * i + b, i + j + c) for i, v in enumerate(vec, start=1))
+                for j in range(1, 3 * len(vec) + 3)]
+
+    vec = [9]
+    for lvl in range(1, 2 * alpha + (2 if family is Family.Z else 1)):
+        vec = step(vec, Family.X, lvl)
+    for lvl in range(1, mu):
+        vec = step(vec, family, lvl)
+    return vec
+
+
+class TestChain:
+    @pytest.mark.parametrize("family", [f for f in Family if f is not Family.X])
+    def test_windows_match_whole_levels(self, cold_chains, family):
+        for alpha in (0, 1):
+            for mu in (3, 1, 2):
+                whole = _whole_level(family, alpha, mu)
+                for jmax in (1, 7, 60):
+                    want = tuple((whole + [0] * jmax)[:jmax])
+                    assert family_vector(family, alpha, mu, jmax).values == want, (alpha, mu, jmax)
+
+    def test_base_vectors_stop_at_eight(self):
+        with pytest.raises(ValueError):
+            x_vector(9, 1)
+        with pytest.raises(ValueError):
+            family_vector(Family.X, 4, 9, 1)
+
+    def test_level_zero_rejected(self):
+        with pytest.raises(ValueError):
+            family_vector(Family.R, 0, 0, 3)
+
+    def test_family_seed_is_base_level(self):
+        assert family_vector(Family.Z, 1, 1, 30).values == x_vector(4, 30).values
+        assert family_vector(Family.Y, 1, 1, 30).values == x_vector(3, 30).values
+
+    @pytest.mark.parametrize("base_first", [True, False])
+    def test_build_order_does_not_matter(self, cold_chains, base_first):
+        # the Z chain at alpha 1 builds x_4 on demand when the X chain is cold
+        if base_first:
+            base = x_vector(4, 30).values
+            level = family_vector(Family.Z, 1, 3, 40).values
+        else:
+            level = family_vector(Family.Z, 1, 3, 40).values
+            base = x_vector(4, 30).values
+        vectors._chains.clear()
+        assert base == x_vector(4, 30).values
+        vectors._chains.clear()
+        assert level == family_vector(Family.Z, 1, 3, 40).values
+
+    def test_window_grows_on_demand(self, cold_chains):
+        # a short window first, then a longer one, gives what a cold long request gives
+        short = family_vector(Family.R, 1, 4, 5).values
+        long = family_vector(Family.R, 1, 4, 300).values
+        vectors._chains.clear()
+        assert family_vector(Family.R, 1, 4, 300).values == long
+        assert long[:5] == short
+        assert long[-1] == 0  # the whole support (264 entries) fits in 300
+
+    def test_concurrent_requests_match_serial(self, cold_chains):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        # windows that grow and shrink on the same chains, X built on demand
+        requests = [(fam, alpha, mu, jmax) for fam in (Family.Z, Family.R, Family.W)
+                    for alpha in (0, 1) for mu in (3, 1, 4, 2) for jmax in (4, 40, 12)]
+        serial = [family_vector(*r).values for r in requests]
+        vectors._chains.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(family_vector, *r) for r in requests]
+                got = [f.result(timeout=60).values for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial
 
 
 class TestBoundFormula:

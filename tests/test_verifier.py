@@ -2,12 +2,15 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from q3series import counts, modseries, verifier
+from q3series.eta import EtaQuotientSpec, eta_quotient
 from q3series.report import FAIL, PASS, SKIPPED
+from q3series.series import TruncatedSeries
 from q3series.vectors import family_vector
 from q3series.verifier import (SuiteConfig, _exact_div, catalog, class_members,
                                implied_congruence_holds, instantiate, run_suite,
@@ -261,6 +264,53 @@ class TestIdentities:
         # lemma exponent 17: residues mod 3^15 that read zero cannot answer True
         with pytest.raises(ValueError, match=r"3\^17"):
             implied_congruence_holds("T23", {"alpha": 3, "beta": 2}, n_max=0, exact_threshold=0)
+
+
+def _direct_window(weights, num, den, terms):
+    """sum over j <= terms of weights[j-1] * q^{j-1} E(q^3)^{12j+num} / E(q)^{12j+den}."""
+    total = [0] * terms
+    for j, c in enumerate(weights[:terms], start=1):
+        term = eta_quotient(EtaQuotientSpec(j - 1, ((3, 12 * j + num), (1, -(12 * j + den)))), terms)
+        for e in range(terms):
+            total[e] += c * term.coeff(e)
+    return total
+
+
+class TestWeightedQuotientWindow:
+    @staticmethod
+    def patterns(terms):
+        return {
+            "shorter": (5, -3),
+            "longer": tuple(range(1, terms + 4)),
+            "inner-zeros": (1, 0, 0, 2, 0, 7),
+            "trailing-zeros": (4, 0, 3) + (0,) * (terms + 2),
+            "all-zero": (0,) * (terms + 1),
+            "empty": (),
+        }
+
+    @pytest.mark.parametrize("terms", range(1, 13))
+    @pytest.mark.parametrize("num, den", [(-3, 0), (0, 3), (-9, -6)])
+    def test_matches_direct_sum(self, terms, num, den):
+        for name, weights in self.patterns(terms).items():
+            vec = SimpleNamespace(values=weights)  # arbitrary weights, no bound check
+            got = verifier._weighted_quotient_window(vec, num, den, terms)
+            assert got == _direct_window(weights, num, den, terms), name
+
+    @pytest.mark.parametrize("iid, level, muls", [("H1", 1, 0), ("T321", 2, 8)])
+    def test_product_ends_at_last_weight(self, monkeypatch, iid, level, muls):
+        identity = verifier._IDENTITY_BY_ID[iid]
+        vec = family_vector(identity.family, 0, level, 21)
+        last = max(j for j, c in enumerate(vec.values[:20], start=1) if c)
+        calls = []
+        mul = TruncatedSeries.mul
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(TruncatedSeries, "mul", counted)
+        verifier._weighted_quotient_window(vec, identity.num, identity.den, 20)
+        assert len(calls) == last - 1 == muls
 
 
 class TestSuite:
