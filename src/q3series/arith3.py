@@ -7,7 +7,6 @@ comparisons against lower bounds stay exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -110,71 +109,3 @@ def legendre(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division (inputs here are desk scale)."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    out = []
-    for p in (2, 3):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            out.append((p, e))
-    d = 5
-    step = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            out.append((d, e))
-        d += step
-        step = 6 - step
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def is_sum_of_two_squares(n: int) -> bool:
-    """True iff n = x^2 + y^2 is solvable.
-
-    Classical criterion: solvable unless some prime congruent to 3 mod 4
-    divides n to an odd power.  The search-based twin below exists purely
-    as an independent cross-check.
-    """
-    if n < 0:
-        raise ValueError("expects a nonnegative integer")
-    if n == 0:
-        return True
-    return all(e % 2 == 0 for p, e in factorize(n) if p % 4 == 3)
-
-
-def is_sum_of_two_squares_search(n: int) -> bool:
-    """Brute-force twin of is_sum_of_two_squares."""
-    if n < 0:
-        raise ValueError("expects a nonnegative integer")
-    for x in range(math.isqrt(n) + 1):
-        r = n - x * x
-        y = math.isqrt(r)
-        if y * y == r:
-            return True
-    return False
-
-
-def is_x2_plus_3y2(n: int) -> bool:
-    """True iff n = x^2 + 3*y^2 is solvable, by direct search."""
-    if n < 0:
-        raise ValueError("expects a nonnegative integer")
-    y = 0
-    while 3 * y * y <= n:
-        r = n - 3 * y * y
-        x = math.isqrt(r)
-        if x * x == r:
-            return True
-        y += 1
-    return False

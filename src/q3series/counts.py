@@ -26,7 +26,7 @@ import numpy as np
 
 from . import modseries
 from .eta import jacobi_cube_terms
-from .series import TruncatedSeries, mul_sparse, solve_monic_sparse
+from .series import TruncatedSeries, extend_monic_sparse, mul_sparse, solve_monic_sparse
 
 
 class Kind(Enum):
@@ -54,7 +54,7 @@ class CountingFunction:
 # -- the two engines ---------------------------------------------------
 
 _lock = threading.Lock()
-_inv_cube: list[int] = [1]  # coefficients of 1/E(q)^3, grown on demand
+_inv_cube: list[int] = []  # coefficients of 1/E(q)^3, grown on demand
 _MOD = 3**modseries.STANDARD_EXPONENT
 _mod_base = np.ones(1, dtype=np.int64)  # 1/E(q)^3 mod _MOD, read-only
 
@@ -66,16 +66,9 @@ def _base(order: int, exact: bool):
     global _mod_base
     with _lock:
         if exact:
-            b = _inv_cube
-            terms = jacobi_cube_terms(1, order)[1:] if len(b) < order else []
-            for n in range(len(b), order):
-                acc = 0
-                for g, c in terms:
-                    if g > n:
-                        break
-                    acc -= c * b[n - g]
-                b.append(acc)
-            return b
+            if len(_inv_cube) < order:
+                extend_monic_sparse(jacobi_cube_terms(1, order), (1,), _inv_cube, order)
+            return _inv_cube
         if len(_mod_base) < order:
             one = np.ones(1, dtype=np.int64)
             _mod_base = modseries.solve_monic_sparse_mod(jacobi_cube_terms(1, order), one, order, _MOD)

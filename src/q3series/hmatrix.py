@@ -14,7 +14,13 @@ table m[i][j] of those combinations is seeded by its first three rows
 
 and continued by m(i,j) = 27 m(i-1,j-1) + 9 m(i-2,j-1) + m(i-3,j-1) with
 m(i,1) = 0 for i > 3.  Entries vanish outside the band ceil(i/3) <= j <= i,
-which the recurrence preserves; the short-circuit below only skips work.
+which the recurrence preserves.
+
+Column j reads only column j-1, so the table is filled column by column:
+column 1 is (9, 6, 1) on rows 1..3, and column k holds rows k..3k, each
+entry the recurrence over rows k-1..3k-3 of column k-1 (zero outside
+them).  The recurrence alone gives the seeded 243, 243 and 6561 of rows
+2 and 3, so column 1 is the only seed.
 """
 
 from __future__ import annotations
@@ -24,70 +30,31 @@ import threading
 from .eta import EtaQuotientSpec, eta_quotient
 from .series import TruncatedSeries
 
-_SEED_ROWS = {
-    (1, 1): 9,
-    (2, 1): 6, (2, 2): 243,
-    (3, 1): 1, (3, 2): 243, (3, 3): 6561,
-}
-
 
 class MTable:
     """Lazily grown table of the huffing coefficients m(i, j), i, j >= 1.
 
-    Extension is synchronized and deterministic; reads of materialized
-    entries are lock-free.
+    Whole columns are appended under one lock, in order; a built column
+    is never changed, so reads of it are lock-free.
     """
 
     def __init__(self):
-        self._entries: dict[tuple[int, int], int] = dict(_SEED_ROWS)
+        self._columns: list[list[int]] = [[9, 6, 1]]  # column j: rows j..3j
         self._lock = threading.Lock()
 
     def entry(self, i: int, j: int) -> int:
         if i < 1 or j < 1:
             raise ValueError("indices are 1-based")
-        if j > i or 3 * j < i:
+        if not j <= i <= 3 * j:
             return 0
-        if i <= 3:
-            return _SEED_ROWS.get((i, j), 0)
-        if j == 1:
-            return 0
-        got = self._entries.get((i, j))
-        if got is not None:
-            return got
-        with self._lock:
-            return self._fill(i, j)
-
-    def _fill(self, i: int, j: int) -> int:
-        got = self._entries.get((i, j))
-        if got is not None:
-            return got
-        # iterative fill along the recurrence cone to keep recursion shallow
-        stack = [(i, j)]
-        while stack:
-            ti, tj = stack[-1]
-            if (ti, tj) in self._entries or tj > ti or 3 * tj < ti or ti <= 3 or tj == 1:
-                stack.pop()
-                continue
-            deps = [(ti - d, tj - 1) for d in (1, 2, 3)]
-            missing = [d for d in deps
-                       if d not in self._entries and 1 <= d[1] <= d[0] <= 3 * d[1] and d[0] > 3 and d[1] > 1]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            self._entries[(ti, tj)] = (27 * self._lookup(ti - 1, tj - 1)
-                                       + 9 * self._lookup(ti - 2, tj - 1)
-                                       + self._lookup(ti - 3, tj - 1))
-        return self._entries[(i, j)]
-
-    def _lookup(self, i: int, j: int) -> int:
-        if j > i or 3 * j < i or i < 1:
-            return 0
-        if i <= 3:
-            return _SEED_ROWS.get((i, j), 0)
-        if j == 1:
-            return 0
-        return self._entries[(i, j)]
+        columns = self._columns
+        if j > len(columns):
+            with self._lock:
+                while len(columns) < j:
+                    padded = [0, 0, *columns[-1], 0, 0]
+                    columns.append([27 * a + 9 * b + c
+                                    for c, b, a in zip(padded, padded[1:], padded[2:])])
+        return columns[j - 1][i - j]
 
     def block(self, imax: int, jmax: int) -> list[list[int]]:
         return [[self.entry(i, j) for j in range(1, jmax + 1)] for i in range(1, imax + 1)]

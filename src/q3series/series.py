@@ -163,16 +163,8 @@ class TruncatedSeries:
         n = self.order - v  # relative precision available at the valuation
         if n <= 0:
             raise ValueError("window too small to invert at this valuation")
-        a = [self.coeff(v + k) for k in range(n)]
-        b = [0] * n
-        b[0] = lead
-        for k in range(1, n):
-            acc = 0
-            for j in range(1, k + 1):
-                if a[j]:
-                    acc += a[j] * b[k - j]
-            b[k] = -lead * acc
-        return TruncatedSeries(-v, b, n - v)
+        monic = [(e - v, lead * c) for e, c in self.terms()]
+        return TruncatedSeries(-v, solve_monic_sparse(monic, [lead], n), n - v)
 
     def pow(self, e: int) -> "TruncatedSeries":
         if e < 0:
@@ -278,12 +270,22 @@ def solve_monic_sparse(terms: Sequence[tuple[int, int]], rhs: Sequence[int], ord
 
     Sequential back-substitution: b[n] = rhs[n] - sum a[g] * b[n-g].
     """
+    return extend_monic_sparse(terms, rhs, [], order)
+
+
+def extend_monic_sparse(terms: Sequence[tuple[int, int]], rhs: Sequence[int],
+                        b: list[int], order: int) -> list[int]:
+    """Grow `b`, the first len(b) coefficients of the solution of a * b = rhs,
+    in place to `order` by the back-substitution of `solve_monic_sparse`.
+
+    Each new coefficient reads only earlier ones, so a solution is extended
+    without solving it again.
+    """
     if not terms or terms[0] != (0, 1):
         raise ValueError("sparse operand must be monic with constant term 1")
     tail = [(g, c) for g, c in terms[1:] if g < order]
-    b = [0] * order
     nrhs = len(rhs)
-    for n in range(order):
+    for n in range(len(b), order):
         acc = rhs[n] if n < nrhs else 0
         for g, c in tail:
             if g > n:
@@ -291,5 +293,5 @@ def solve_monic_sparse(terms: Sequence[tuple[int, int]], rhs: Sequence[int], ord
             bb = b[n - g]
             if bb:
                 acc -= c * bb
-        b[n] = acc
+        b.append(acc)
     return b

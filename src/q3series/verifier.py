@@ -543,10 +543,10 @@ def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], capp
     Everything is read modulo 3^exponent.  The fitted constant and
     whether the bare (-1)^n (2n+1) branch (c = 1) also holds are
     reported, as is the largest exponent at which the branch structure
-    survives.
+    survives.  An empty range fits no constant: both read null.
     """
     mod = 3**inst.exponent
-    const = values[0]
+    const = values[0] if values else None
     wants = [const * (2 * n + 1) * (-1 if n % 2 else 1) if _triangular_index(n) is not None else 0
              for n in range(len(values))]
     valuations, holds, hit_cap = _scan([v - w for v, w in zip(values, wants)], capped)
@@ -556,7 +556,8 @@ def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], capp
                     if val is not None and val < inst.exponent]
     rep.extras = _extras(inst.fn, inst.progression, modulus_exponent=inst.exponent,
                          engine=_REDUCED_ENGINE if capped else "exact",
-                         fitted_constant=str(const % mod), plain_branch_holds=const % mod == 1,
+                         fitted_constant=None if const is None else str(const % mod),
+                         plain_branch_holds=None if const is None else const % mod == 1,
                          branch_holds_to_exponent=holds, exponent_capped=hit_cap)
     return _settle(rep, hit_cap, inst.exponent)
 

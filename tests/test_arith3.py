@@ -1,11 +1,10 @@
-"""Valuations, the Legendre symbol, and quadratic-form representability."""
+"""Valuations, primality and the Legendre symbol."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from q3series.arith3 import (INFINITE, Valuation3, is_prime, is_sum_of_two_squares,
-                             is_sum_of_two_squares_search, is_x2_plus_3y2, legendre,
-                             pi3, series_min_valuation3)
+from q3series.arith3 import (INFINITE, Valuation3, is_prime, legendre, pi3,
+                             series_min_valuation3)
 from q3series.series import TruncatedSeries
 
 
@@ -65,32 +64,6 @@ class TestLegendre:
            st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]))
     def test_multiplicative(self, a, b, p):
         assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
-
-
-class TestTwoSquares:
-    def test_examples(self):
-        assert is_sum_of_two_squares(2)       # 1 + 1
-        assert not is_sum_of_two_squares(3)
-        assert is_sum_of_two_squares(0)
-
-    def test_odd_power_obstruction(self):
-        # 2 * p^(2k+1) * (4m + p) with p | the last factor an odd power of p
-        assert not is_sum_of_two_squares(2 * 7 * (4 * 1 + 7))
-
-    def test_criterion_equals_search_up_to_10000(self):
-        for n in range(10_001):
-            assert is_sum_of_two_squares(n) == is_sum_of_two_squares_search(n), n
-
-
-class TestX2Plus3Y2:
-    def test_examples(self):
-        assert is_x2_plus_3y2(4)   # 1 + 3
-        assert not is_x2_plus_3y2(2)
-        assert is_x2_plus_3y2(0)
-
-    def test_prime_power_obstruction(self):
-        # 8 p^{2k+1} n + 4 p^{2k+2} at p=5, k=0, n=1
-        assert not is_x2_plus_3y2(8 * 5 + 4 * 25)
 
 
 def test_is_prime_small():

@@ -93,6 +93,13 @@ class TestVerify:
                                "--k", "1", "--m", "0", "--nmax", "30")
         assert code == 0
 
+    def test_branch_case_empty_range_exit_0(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "congruence", "--case", "MR10", "--alpha", "0",
+                               "--beta", "0", "--ell", "3", "--nmax", "-1")
+        data = json.loads(out)
+        assert code == 0 and data["status"] == "SKIPPED" and data["checked"] == 0
+        assert data["fitted_constant"] is None
+
     def test_identity(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "identity", "--id", "H1",
                                "--alpha", "0", "--terms", "20", "--mode", "exact")

@@ -6,6 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from q3series import counts
 from q3series.counts import (CountingFunction, Kind, count_series, count_values,
                              count_values_mod, enumerate_count, values_at)
+from q3series.eta import jacobi_cube_terms
+from q3series.series import solve_monic_sparse
 
 
 class TestSeriesRoute:
@@ -105,6 +107,24 @@ class TestPointValues:
         reduced = count_values_mod(fn, order)
         assert values_at(fn, indices, True) == [exact[i] for i in indices]
         assert values_at(fn, indices, False) == [int(reduced[i]) for i in indices]
+
+    def test_ascending_reads_extend_the_exact_base(self, monkeypatch):
+        # each read past the base appends to it; nothing is solved again
+        starts = []
+        extend = counts.extend_monic_sparse
+
+        def spy(terms, rhs, b, order):
+            starts.append((len(b), order))
+            return extend(terms, rhs, b, order)
+
+        monkeypatch.setattr(counts, "_inv_cube", [])
+        monkeypatch.setattr(counts, "extend_monic_sparse", spy)
+        p3 = CountingFunction(Kind.P3)
+        got = [values_at(p3, [n], True)[0] for n in (10, 40, 40, 25, 90)]
+        assert starts == [(0, 11), (11, 41), (41, 91)]
+        full = solve_monic_sparse(jacobi_cube_terms(1, 91), [1], 91)
+        assert got == [full[n] for n in (10, 40, 40, 25, 90)]
+        assert counts._inv_cube == full
 
     def test_no_indices(self):
         assert values_at(CountingFunction(Kind.TWO_COLOR_TRIPLE, 2), [], True) == []

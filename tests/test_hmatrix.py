@@ -1,5 +1,7 @@
 """The huffing coefficient table and its structural identities."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,9 +20,32 @@ DISPLAY = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def plain_m(i, j):
+    """The recurrence from the three displayed seed rows, without the band."""
+    if i <= 3:
+        return DISPLAY[i - 1][j - 1] if j <= 5 else 0
+    if j == 1:
+        return 0
+    return 27 * plain_m(i - 1, j - 1) + 9 * plain_m(i - 2, j - 1) + plain_m(i - 3, j - 1)
+
+
 class TestTable:
     def test_display_block(self):
         assert MTable().block(5, 5) == DISPLAY
+
+    def test_matches_plain_recurrence(self):
+        table = MTable()
+        for j in range(1, 301):  # column by column keeps the recursion shallow
+            for i in range(1, 301):
+                assert table.entry(i, j) == plain_m(i, j), (i, j)
+
+    def test_deep_entry_first(self):
+        table = MTable()
+        assert table.entry(250, 120) == plain_m(250, 120)
+        assert table.entry(4, 3) == 8748
+        assert table.block(5, 5) == DISPLAY
+        assert [table.entry(i, 40) for i in range(1, 200)] == [plain_m(i, 40) for i in range(1, 200)]
 
     def test_rows_four_five_come_from_recurrence(self):
         assert m_entry(4, 2) == 27 * m_entry(3, 1) + 9 * m_entry(2, 1) + m_entry(1, 1) == 90
@@ -58,15 +83,33 @@ class TestTable:
                 assert pi3(m_entry(i, j)) >= max(pmij_bound(i, j), 0), (i, j)
 
     def test_concurrent_fills_deterministic(self):
+        # threads racing to grow one table must append each column once
+        import sys
+        import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        serial = MTable()
-        expected = {(i, j): serial.entry(i, j) for i in range(1, 25) for j in range(1, 11)}
-        shared = MTable()
-        cells = sorted(expected)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda ij: shared.entry(*ij), reversed(cells)))
-        assert dict(zip(reversed(cells), got)) == expected
+        cells = [(i, j) for j in range(1, 41) for i in range(1, 121)]
+        expected = [plain_m(i, j) for i, j in cells]
+        orders = [cells[::-1], cells, cells[1::2] + cells[::2], cells[::-2] + cells[-2::-2]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                shared = MTable()
+                start = threading.Barrier(2 * len(orders))
+
+                def read(order):
+                    start.wait(timeout=10)
+                    shared.entry(200, 100)  # every thread grows the table at once
+                    return dict(zip(order, (shared.entry(*ij) for ij in order)))
+
+                with ThreadPoolExecutor(max_workers=2 * len(orders)) as pool:
+                    futures = [pool.submit(read, order) for order in orders * 2]
+                    for f in futures:
+                        got = f.result(timeout=60)
+                        assert [got[ij] for ij in cells] == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestHuff:

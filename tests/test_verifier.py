@@ -174,6 +174,16 @@ class TestBranchCase:
         rep = verify_mr10(0, 0, 30, ell=6)
         assert rep.extras["fitted_constant"] == "9"
 
+    def test_empty_range_skips(self):
+        rep = verify_mr10(0, 0, -1)
+        assert rep.status == SKIPPED and rep.checked == 0 and rep.failures == []
+        assert rep.extras["fitted_constant"] is None
+        assert rep.extras["plain_branch_holds"] is None
+
+    def test_empty_range_in_suite(self):
+        suite = run_suite(SuiteConfig(**dict(TestSuite.CFG, include=("MR10",), n_max_small=-1)))
+        assert suite.reports and all(r.status == SKIPPED for r in suite.reports)
+
 
 class TestIdentities:
     def test_base_identity_exact(self):
