@@ -134,16 +134,11 @@ def default_suite_config() -> SuiteConfig:
 
 
 def _cmd_verify_suite(args) -> int:
-    threads = args.threads or 1
     if args.config:
         with open(args.config) as fh:
-            text = fh.read()
-        cfg = SuiteConfig.from_json(text)
-        threads = max(threads, json.loads(text).get("threads", 1))
+            cfg = SuiteConfig.from_json(fh.read())
     else:
         cfg = default_suite_config()
-    if threads > 1:
-        sys.stderr.write("q3series: the suite runs serially; a thread count has no effect\n")
     suite = run_suite(cfg)
     if args.format == "json":
         _emit_json(suite.to_dict())
@@ -209,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("suite", help="run the full catalog over configured grids")
     p.add_argument("--config", help="path to a suite config JSON (default: packaged grids)")
-    p.add_argument("--threads", type=int, help="accepted for old scripts; the suite runs serially")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_verify_suite)
 

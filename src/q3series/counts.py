@@ -56,13 +56,14 @@ class CountingFunction:
 _lock = threading.Lock()
 _inv_cube: list[int] = []  # coefficients of 1/E(q)^3, grown on demand
 _MOD = 3**modseries.STANDARD_EXPONENT
-_mod_base = np.ones(1, dtype=np.int64)  # 1/E(q)^3 mod _MOD, read-only
+_mod_base = np.ones(1, dtype=np.int64)  # 1/E(q)^3 mod _MOD, grown on demand, read-only
 
 
 def _base(order: int, exact: bool):
-    """The engine's base 1/E(q)^3 to at least `order`.  The exact list grows
-    in place by back-substitution against the sparse cube, which only looks
-    backwards; the reduced array is solved again when too short, read-only."""
+    """The engine's base 1/E(q)^3 to at least `order`, grown by
+    back-substitution against the sparse cube, which only looks backwards,
+    so no coefficient is solved twice.  The exact list grows in place; the
+    reduced array is replaced by its extension and handed out read-only."""
     global _mod_base
     with _lock:
         if exact:
@@ -70,8 +71,8 @@ def _base(order: int, exact: bool):
                 extend_monic_sparse(jacobi_cube_terms(1, order), (1,), _inv_cube, order)
             return _inv_cube
         if len(_mod_base) < order:
-            one = np.ones(1, dtype=np.int64)
-            _mod_base = modseries.solve_monic_sparse_mod(jacobi_cube_terms(1, order), one, order, _MOD)
+            _mod_base = modseries.extend_monic_sparse_mod(jacobi_cube_terms(1, order), (1,),
+                                                          _mod_base, order, _MOD)
             _mod_base.setflags(write=False)
         return _mod_base
 

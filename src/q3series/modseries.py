@@ -13,8 +13,9 @@ at E = 15 that allows L up to ~44700.  Both are checked, and a failure
 raises OverflowError: callers must then lower E or fall back to exact
 arithmetic.  Neither triggers at this package's scales.
 
-`_solve_py` is the sequential reference the tests compare the blocked
-solve against.
+`extend_monic_sparse_mod` solves only the positions past a known prefix,
+like `series.extend_monic_sparse`.  `_solve_py` is the sequential
+reference the tests compare the blocked solve against.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ def _solve_py(gaps, coeffs, rhs, mod):
 _CHUNK = 1 << 16
 
 
-def _solve_blocked(gaps, coeffs, rhs, mod, block=None):
+def _solve_blocked(gaps, coeffs, rhs, mod, known=(), block=None):
     """Same result as `_solve_py`, block by block with numpy.
 
+    The first len(known) residues of the solution are `known`; `rhs` holds
+    the right-hand side of the positions after them, which are solved.
     The unknowns of a block [s, s+L) depend on earlier blocks and, through
     the terms with gap < L, on each other.  Every term's contribution from
     entries already known is subtracted from an accumulator by one slice
@@ -61,11 +64,12 @@ def _solve_blocked(gaps, coeffs, rhs, mod, block=None):
     the block is its right-hand side convolved with that part's inverse,
     solved once to L coefficients.  `block` forces L (tests only).
     """
-    n = rhs.shape[0]
+    k = len(known)
+    n = k + rhs.shape[0]
     # 16*sqrt(nterms) balances the per-block Python work, which grows with
     # the number of short-gap terms, against the O(L^2) convolution per
     # block; it measured best on the suite's operands
-    L = max(1, min(block or 16 * math.isqrt(len(gaps) + 1), n))
+    L = max(1, min(block or 16 * math.isqrt(len(gaps) + 1), n - k))
     _check_overflow(len(gaps), mod, L)
     unit = np.zeros(L, dtype=np.int64)
     unit[0] = 1
@@ -75,9 +79,10 @@ def _solve_blocked(gaps, coeffs, rhs, mod, block=None):
     glist = gaps.tolist()
     clist = coeffs.tolist()
     done = list(glist)  # term t is accounted for at every position below done[t]
-    acc = rhs % mod
-    b = np.zeros(n, dtype=np.int64)
-    for s in range(0, n, L):
+    acc = rhs % mod  # acc[i - k] belongs to position i
+    b = np.empty(n, dtype=np.int64)
+    b[:k] = known
+    for s in range(k, n, L):
         e = min(s + L, n)
         for t, g in enumerate(glist):
             if g >= e:
@@ -85,10 +90,10 @@ def _solve_blocked(gaps, coeffs, rhs, mod, block=None):
             if done[t] < e:
                 lo = max(done[t], s)
                 hi = min(s + g, n, lo + chunk)
-                acc[lo:hi] -= clist[t] * b[lo - g:hi - g]
+                acc[lo - k:hi - k] -= clist[t] * b[lo - g:hi - g]
                 done[t] = hi
         m = e - s
-        b[s:e] = np.convolve(inv[:m], acc[s:e] % mod)[:m] % mod
+        b[s:e] = np.convolve(inv[:m], acc[s - k:e - k] % mod)[:m] % mod
     return b
 
 
@@ -118,14 +123,27 @@ def _check_overflow(nterms: int, mod: int, block: int = 0) -> None:
         )
 
 
-def solve_monic_sparse_mod(terms, rhs: np.ndarray, order: int, mod: int) -> np.ndarray:
-    """b with a*b = rhs mod (q^order, mod); a given by sparse monic terms."""
+def extend_monic_sparse_mod(terms, rhs, b, order: int, mod: int) -> np.ndarray:
+    """Extend `b`, the first len(b) residues of the solution of a*b = rhs
+    mod (q^order, mod), to `order`; a given by sparse monic terms.  Only the
+    positions past len(b) are solved, into a new array that starts with `b`;
+    `b` itself comes back when it is already `order` long."""
     if not terms or terms[0] != (0, 1):
         raise ValueError("sparse operand must be monic with constant term 1")
+    b = np.asarray(b, dtype=np.int64)
+    k = len(b)
+    if order <= k:
+        return b
     gaps, coeffs = _prepare([t for t in terms[1:] if t[0] < order], mod)
-    r = np.zeros(order, dtype=np.int64)
-    r[: min(len(rhs), order)] = rhs[: min(len(rhs), order)] % mod
-    return _solve_blocked(gaps, coeffs, r, mod)
+    tail = np.asarray(rhs[k:order], dtype=np.int64)
+    r = np.zeros(order - k, dtype=np.int64)  # pages never written stay out of the RSS
+    r[: len(tail)] = tail % mod
+    return _solve_blocked(gaps, coeffs, r, mod, b)
+
+
+def solve_monic_sparse_mod(terms, rhs: np.ndarray, order: int, mod: int) -> np.ndarray:
+    """b with a*b = rhs mod (q^order, mod); a given by sparse monic terms."""
+    return extend_monic_sparse_mod(terms, rhs, (), order, mod)
 
 
 def mul_sparse_mod(dense: np.ndarray, terms, order: int, mod: int) -> np.ndarray:

@@ -142,11 +142,14 @@ class CoeffVector:
 
 
 def _step_vector(prev: list[int], b: int, c: int, jcap: int) -> list[int]:
-    """Apply one huffing step; the result is trimmed to its support or jcap."""
+    """Apply one huffing step; the result is trimmed to its support or jcap.
+    Entry j reads entry i only inside the band of m(4i + b, i + j + c),
+    (j + c - b)/3 <= i <= 3(j + c) - b."""
     out = []
     for j in range(1, jcap + 1):
         acc = 0
-        for i, v in enumerate(prev, start=1):
+        lo = max(1, -((b - j - c) // 3))
+        for i, v in enumerate(prev[lo - 1:3 * (j + c) - b], start=lo):
             if v:
                 acc += v * m_entry(4 * i + b, i + j + c)
         out.append(acc)

@@ -435,19 +435,16 @@ _REDUCED_ENGINE = f"reduced(3^{STANDARD_EXPONENT})"
 IDENTITY_MODES = ("exact", "mod", "auto")
 
 
-def _congruence_expansion(prog: Progression, n_max: int, exact_threshold: int) -> tuple[int, bool]:
-    """(order, exact engine?) of the expansion a congruence check on n <= n_max reads."""
-    order = prog.index(n_max) + 1
-    return order, order <= exact_threshold
+def _congruence_exact(prog: Progression, n_max: int, exact_threshold: int) -> bool:
+    """Whether a congruence check on n <= n_max reads the exact engine."""
+    return prog.index(n_max) < exact_threshold
 
 
-def _identity_expansion(prog: Progression, terms: int, mode: str,
-                        exact_order_cap: int) -> tuple[int, bool]:
-    """(order, exact engine?) of the expansion an identity check reads."""
+def _identity_exact(prog: Progression, terms: int, mode: str, exact_order_cap: int) -> bool:
+    """Whether an identity check reads the exact engine."""
     if mode not in IDENTITY_MODES:
         raise ValueError(f"unknown identity mode {mode!r}; expected one of {IDENTITY_MODES}")
-    order = prog.index(terms - 1) + 1
-    return order, mode == "exact" or (mode == "auto" and order <= exact_order_cap)
+    return mode == "exact" or (mode == "auto" and prog.index(terms - 1) < exact_order_cap)
 
 
 def _read(fn: CountingFunction, prog: Progression, ns, exact: bool) -> tuple[list[int], bool]:
@@ -508,7 +505,7 @@ def verify_congruence(case_id: str, params: dict, n_max: int,
     cannot decide the stated exponent is SKIPPED (see `_settle`).
     """
     inst = instantiate(case_id, params)
-    _, exact = _congruence_expansion(inst.progression, n_max, exact_threshold)
+    exact = _congruence_exact(inst.progression, n_max, exact_threshold)
     ns = [n for n in range(n_max + 1) if inst.n_filter is None or inst.n_filter(n)]
     values, capped = _read(inst.fn, inst.progression, ns, exact)
     rep = Report(case=inst.case, params=dict(inst.params) | {"n_max": n_max}, checked=len(ns))
@@ -620,7 +617,7 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     if identity is None:
         raise KeyError(f"unknown identity {identity_id!r}")
     fn, prog, level, lemma_e, params = identity.instantiate(params)
-    _, exact = _identity_expansion(prog, terms, mode, exact_order_cap)
+    exact = _identity_exact(prog, terms, mode, exact_order_cap)
     rep = Report(case=identity_id, params=dict(params) | {"terms": terms, "mode": mode},
                  checked=terms)
     rhs = _rhs_window(identity, level, params["alpha"], terms)
@@ -677,7 +674,7 @@ def implied_congruence_holds(identity_id: str, params: dict, n_max: int = 60,
     `_settle`) raises ValueError instead of answering.
     """
     fn, prog, _level, lemma_e, _ = _IDENTITY_BY_ID[identity_id].instantiate(params)
-    _, exact = _congruence_expansion(prog, n_max, exact_threshold)
+    exact = _congruence_exact(prog, n_max, exact_threshold)
     valuations, _, hit_cap = _scan(*_read(fn, prog, range(n_max + 1), exact))
     undecided = _settle(Report(identity_id), hit_cap, lemma_e).extras.get("undecided")
     if undecided:
@@ -788,7 +785,7 @@ def _suite_jobs(cfg: SuiteConfig) -> list[tuple[str, str, dict, dict]]:
     jobs: list[tuple[str, str, dict, dict]] = []
 
     def addc(case_id: str, params: dict, n_max: int | None = None):
-        if cfg.include and case_id not in cfg.include:
+        if cfg.include is not None and case_id not in cfg.include:
             return
         case = _CASE_BY_ID[case_id]
         A = case.A({k: int(v) for k, v in params.items()})
@@ -796,7 +793,7 @@ def _suite_jobs(cfg: SuiteConfig) -> list[tuple[str, str, dict, dict]]:
                      {"n_max": n_max if n_max is not None else _case_n_max(cfg, A)}))
 
     def addi(identity_id: str, params: dict, mode: str):
-        if cfg.include and identity_id not in cfg.include:
+        if cfg.include is not None and identity_id not in cfg.include:
             return
         jobs.append(("identity", identity_id, params, {"mode": mode}))
 
@@ -848,20 +845,6 @@ def _suite_jobs(cfg: SuiteConfig) -> list[tuple[str, str, dict, dict]]:
     return jobs
 
 
-def _read_order(cfg: SuiteConfig, job) -> int:
-    """One past the deepest index a suite job reads; 0 if its parameters are
-    rejected (running it then gives the error report)."""
-    jkind, jid, params, opts = job
-    try:
-        if jkind == "congruence":
-            inst = instantiate(jid, params)
-            return _congruence_expansion(inst.progression, opts["n_max"], cfg.exact_threshold)[0]
-        _, prog, _, _, _ = _IDENTITY_BY_ID[jid].instantiate(params)
-        return _identity_expansion(prog, cfg.identity_terms, opts["mode"], cfg.identity_exact_cap)[0]
-    except ValueError:
-        return 0
-
-
 def _error_report(job, exc: ValueError) -> Report:
     _, jid, params, _ = job
     rep = Report(case=jid, params=dict(params))
@@ -872,13 +855,13 @@ def _error_report(job, exc: ValueError) -> Report:
 def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     """Run the whole catalog over the configured grids.
 
-    Jobs run serially, deepest read first, so the reduced base is solved
-    once, at the deepest order any job reads it to.  Reports come back
-    sorted by (case id, parameters) regardless of run order.
+    Jobs run serially in catalog order; each engine's base grows to the
+    deepest index read so far, so no coefficient is solved twice.  Reports
+    come back sorted by (case id, parameters).
     """
     cfg = cfg or SuiteConfig()
     reports: list[Report] = []
-    for job in sorted(_suite_jobs(cfg), key=lambda job: -_read_order(cfg, job)):
+    for job in _suite_jobs(cfg):
         jkind, jid, params, opts = job
         try:
             if jkind == "congruence":

@@ -1,9 +1,10 @@
 """Counting functions: series route against the enumeration oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from q3series import counts
+from q3series import counts, modseries
 from q3series.counts import (CountingFunction, Kind, count_series, count_values,
                              count_values_mod, enumerate_count, values_at)
 from q3series.eta import jacobi_cube_terms
@@ -109,22 +110,30 @@ class TestPointValues:
         assert values_at(fn, indices, False) == [int(reduced[i]) for i in indices]
 
     def test_ascending_reads_extend_the_exact_base(self, monkeypatch):
-        # each read past the base appends to it; nothing is solved again
-        starts = []
-        extend = counts.extend_monic_sparse
+        # in either engine each read past the base appends to it; nothing is
+        # solved again (the reduced base starts from its first coefficient)
+        def spied(owner, name):
+            starts, extend = [], getattr(owner, name)
 
-        def spy(terms, rhs, b, order):
-            starts.append((len(b), order))
-            return extend(terms, rhs, b, order)
+            def spy(terms, rhs, b, order, *mod):
+                starts.append((len(b), order))
+                return extend(terms, rhs, b, order, *mod)
+
+            monkeypatch.setattr(owner, name, spy)
+            return starts
 
         monkeypatch.setattr(counts, "_inv_cube", [])
-        monkeypatch.setattr(counts, "extend_monic_sparse", spy)
-        p3 = CountingFunction(Kind.P3)
-        got = [values_at(p3, [n], True)[0] for n in (10, 40, 40, 25, 90)]
-        assert starts == [(0, 11), (11, 41), (41, 91)]
+        monkeypatch.setattr(counts, "_mod_base", np.ones(1, dtype=np.int64))
+        engines = {True: spied(counts, "extend_monic_sparse"),
+                   False: spied(modseries, "extend_monic_sparse_mod")}
         full = solve_monic_sparse(jacobi_cube_terms(1, 91), [1], 91)
-        assert got == [full[n] for n in (10, 40, 40, 25, 90)]
-        assert counts._inv_cube == full
+        p3 = CountingFunction(Kind.P3)
+        for exact, starts in engines.items():
+            got = [values_at(p3, [n], exact)[0] for n in (10, 40, 40, 25, 90)]
+            assert starts == [(0 if exact else 1, 11), (11, 41), (41, 91)]
+            want = full if exact else [v % counts._MOD for v in full]
+            assert got == [want[n] for n in (10, 40, 40, 25, 90)]
+            assert list(counts._base(91, exact)) == want
 
     def test_no_indices(self):
         assert values_at(CountingFunction(Kind.TWO_COLOR_TRIPLE, 2), [], True) == []

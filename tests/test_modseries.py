@@ -49,15 +49,19 @@ def test_block_overflow_guard():
 @settings(max_examples=150, deadline=None)
 @given(order=st.integers(1, 700), ell=st.sampled_from([0, 1, 2, 3, 5, 9, 27]),
        block=st.one_of(st.none(), st.integers(1, 800)), seed=st.integers(0, 2**32 - 1),
-       mod=st.sampled_from([MOD15, 3**7]))
-@example(order=1, ell=1, block=1, seed=0, mod=MOD15)
-@example(order=300, ell=1, block=1, seed=1, mod=MOD15)
-@example(order=300, ell=3, block=301, seed=2, mod=MOD15)
-@example(order=300, ell=2, block=7, seed=3, mod=MOD15)
-@example(order=300, ell=0, block=13, seed=4, mod=MOD15)
-@example(order=200, ell=1, block=None, seed=5, mod=3**7)
-def test_blocked_solve_matches_sequential(order, ell, block, seed, mod):
-    """ell = 0 draws a random sparse operand; otherwise the operand is E(q^ell)^3."""
+       mod=st.sampled_from([MOD15, 3**7]), split=st.integers(0, 700))
+@example(order=1, ell=1, block=1, seed=0, mod=MOD15, split=0)
+@example(order=300, ell=1, block=1, seed=1, mod=MOD15, split=0)
+@example(order=300, ell=3, block=301, seed=2, mod=MOD15, split=0)
+@example(order=300, ell=2, block=7, seed=3, mod=MOD15, split=0)
+@example(order=300, ell=0, block=13, seed=4, mod=MOD15, split=0)
+@example(order=200, ell=1, block=None, seed=5, mod=3**7, split=0)
+@example(order=300, ell=1, block=None, seed=6, mod=MOD15, split=150)
+@example(order=300, ell=1, block=7, seed=7, mod=MOD15, split=299)
+@example(order=300, ell=0, block=None, seed=8, mod=MOD15, split=300)
+def test_blocked_solve_matches_sequential(order, ell, block, seed, mod, split):
+    """ell = 0 draws a random sparse operand; otherwise the operand is E(q^ell)^3.
+    The blocked solve is given the reference's first k residues and solves the rest."""
     rng = np.random.default_rng(seed)
     if ell:
         gaps, coeffs = modseries._prepare(jacobi_cube_terms(ell, order)[1:], mod)
@@ -66,7 +70,18 @@ def test_blocked_solve_matches_sequential(order, ell, block, seed, mod):
         coeffs = rng.integers(0, mod, size=gaps.shape[0])
     rhs = rng.integers(0, mod, size=order)
     expected = modseries._solve_py(gaps, coeffs, rhs, mod)
-    assert (modseries._solve_blocked(gaps, coeffs, rhs, mod, block=block) == expected).all()
+    k = split % (order + 1)
+    got = modseries._solve_blocked(gaps, coeffs, rhs[k:], mod, expected[:k], block=block)
+    assert (got == expected).all()
+
+
+def test_extend_to_a_shorter_order_returns_b():
+    terms = jacobi_cube_terms(1, 40)
+    b = modseries.solve_monic_sparse_mod(terms, np.ones(1, dtype=np.int64), 40, MOD15)
+    for order in (0, 39, 40):
+        assert modseries.extend_monic_sparse_mod(terms, (1,), b, order, MOD15) is b
+    longer = modseries.extend_monic_sparse_mod(terms, (1,), b[:25], 40, MOD15)
+    assert longer is not b and (longer == b).all()
 
 
 def test_non_monic_rejected():

@@ -89,6 +89,22 @@ class TestChain:
                     want = tuple((whole + [0] * jmax)[:jmax])
                     assert family_vector(family, alpha, mu, jmax).values == want, (alpha, mu, jmax)
 
+    def test_step_reads_only_the_band(self, cold_chains, monkeypatch):
+        # the banded step against a plain step that reads every entry below
+        def full_step(prev, b, c, jcap):
+            out = [sum(v * m_entry(4 * i + b, i + j + c) for i, v in enumerate(prev, start=1))
+                   for j in range(1, jcap + 1)]
+            while out and out[-1] == 0:
+                out.pop()
+            return out
+
+        requests = [(fam, alpha, mu, 40) for fam in Family if fam is not Family.X
+                    for alpha in (0, 1) for mu in range(1, 5)] + [(Family.V, 3, 6, 2)]
+        banded = [family_vector(*r).values for r in requests]
+        vectors._chains.clear()
+        monkeypatch.setattr(vectors, "_step_vector", full_step)
+        assert [family_vector(*r).values for r in requests] == banded
+
     def test_base_vectors_stop_at_eight(self):
         with pytest.raises(ValueError):
             x_vector(9, 1)

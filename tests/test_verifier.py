@@ -348,8 +348,9 @@ class TestSuite:
         assert suite.status == PASS
 
     def test_empty_grid_skips(self):
-        suite = run_suite(SuiteConfig(**dict(self.CFG, include=("nothing",))))
-        assert suite.status == SKIPPED and not suite.reports
+        for include in (("nothing",), ()):
+            suite = run_suite(SuiteConfig(**dict(self.CFG, include=include)))
+            assert suite.status == SKIPPED and not suite.reports
 
     def test_config_roundtrip(self):
         cfg = SuiteConfig(**self.CFG)
@@ -367,7 +368,7 @@ class TestSuite:
 
 class TestSuiteReadsPoints:
     """run_suite reads coefficients off the shared bases: it expands no key
-    and solves the reduced base once."""
+    and solves each reduced coefficient once."""
 
     # keys at orders up to 963; those above 500 read the reduced engine
     CFG = dict(alphas=(0, 1), betas=(0,), n_max=3, n_max_small=6, priors_betas=(0,), priors_n_max=6,
@@ -406,6 +407,19 @@ class TestSuiteReadsPoints:
         assert len(engines["exact"] - {"p3"}) > 12 and len(engines["reduced(3^15)"]) >= 2
         assert [c for c in kernel_calls if c[0] != "mod-solve"] == []
 
-    def test_reduced_base_solved_once(self, kernel_calls):
+    def test_reduced_base_solved_once(self, kernel_calls, monkeypatch):
+        # each reduced coefficient is solved once: the base grows from its
+        # first coefficient in contiguous steps to the deepest read
+        spans = []
+        extend = modseries.extend_monic_sparse_mod
+
+        def spy(terms, rhs, b, order, mod):
+            spans.append((len(b), order))
+            return extend(terms, rhs, b, order, mod)
+
+        monkeypatch.setattr(modseries, "extend_monic_sparse_mod", spy)
         self.functions_by_engine()
-        assert kernel_calls == [("mod-solve", 1, 963)]
+        assert kernel_calls == []
+        assert spans[0][0] == 1 and spans[-1][1] == 963
+        assert all(start < end for start, end in spans)
+        assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
