@@ -11,21 +11,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from importlib import resources
 
 from .counts import CountingFunction, Kind, count_series
 from .eta import EtaQuotientSpec, eta_quotient
 from .hmatrix import m_entry
-from .report import FAIL, PASS
+from .report import FAIL, PASS, dumps
 from .vectors import Family, family_vector, valuation_bound
 from .verifier import IDENTITY_MODES, SuiteConfig, run_suite, verify_congruence, verify_gf_identity
 from .arith3 import pi3
 
-_JSON_KW = dict(sort_keys=True, separators=(",", ":"))
-
 
 def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, **_JSON_KW) + "\n")
+    """Write `obj` as JSON and a newline.  An iterator stands for that text
+    already cut into pieces (`SuiteReport.json_pieces`); each piece is
+    written as it is made."""
+    write = sys.stdout.write
+    for piece in obj if isinstance(obj, Iterator) else (dumps(obj), "\n"):
+        write(piece)
 
 
 def _coeff_str(series, lo, hi) -> list[str]:
@@ -110,9 +114,9 @@ def _finish_report(rep, fmt) -> int:
         _emit_json(rep.to_dict())
     else:
         d = rep.to_dict()
-        sys.stdout.write(f"{d['case']} {json.dumps(d['params'], **_JSON_KW)}: {d['status']}\n")
+        sys.stdout.write(f"{d['case']} {dumps(d['params'])}: {d['status']}\n")
         for f in d["failures"][:10]:
-            sys.stdout.write(f"  counterexample {json.dumps(f, **_JSON_KW)}\n")
+            sys.stdout.write(f"  counterexample {dumps(f)}\n")
     if rep.status == FAIL and not rep.extras.get("conjecture"):
         return 1
     return 0
@@ -141,7 +145,7 @@ def _cmd_verify_suite(args) -> int:
         cfg = default_suite_config()
     suite = run_suite(cfg)
     if args.format == "json":
-        _emit_json(suite.to_dict())
+        _emit_json(suite.json_pieces())
     else:
         for rep in suite.reports:
             sys.stdout.write(

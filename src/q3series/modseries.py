@@ -11,7 +11,13 @@ that sustains ~44000 sparse terms.  The blocked solve also convolves a
 block of L residues with L residues of an inverse, so L * (mod-1)^2 < 2^63;
 at E = 15 that allows L up to ~44700.  Both are checked, and a failure
 raises OverflowError: callers must then lower E or fall back to exact
-arithmetic.  Neither triggers at this package's scales.
+arithmetic.  Neither triggers at this package's scales.  The blocked
+solve keeps its accumulator in the unsolved tail of the array it
+returns, starting from the right-hand side reduced to residues.  Each
+slice update reads positions before the current block and writes
+positions from the block's start on, so no update reads what it writes,
+and the accumulated values, hence the bound, are those of a separate
+accumulator.
 
 `extend_monic_sparse_mod` solves only the positions past a known prefix,
 like `series.extend_monic_sparse`.  `_solve_py` is the sequential
@@ -51,21 +57,22 @@ def _solve_py(gaps, coeffs, rhs, mod):
 _CHUNK = 1 << 16
 
 
-def _solve_blocked(gaps, coeffs, rhs, mod, known=(), block=None):
-    """Same result as `_solve_py`, block by block with numpy.
+def _solve_blocked(gaps, coeffs, b, mod, k=0, block=None):
+    """Same result as `_solve_py`, block by block with numpy, in place.
 
-    The first len(known) residues of the solution are `known`; `rhs` holds
-    the right-hand side of the positions after them, which are solved.
-    The unknowns of a block [s, s+L) depend on earlier blocks and, through
-    the terms with gap < L, on each other.  Every term's contribution from
-    entries already known is subtracted from an accumulator by one slice
-    update, a long-gap term's as far ahead as the known entries reach.
-    What is left is the block times the short-gap part of the operand, so
-    the block is its right-hand side convolved with that part's inverse,
-    solved once to L coefficients.  `block` forces L (tests only).
+    `b[:k]` holds the first k residues of the solution and `b[k:]` the
+    right-hand side of the positions after them; those positions are
+    solved in place and `b` is returned.  The unknowns of a block [s, s+L)
+    depend on earlier blocks and, through the terms with gap < L, on each
+    other.  Every term's contribution from entries already known is
+    subtracted from the unsolved tail of `b`, which is the accumulator, by
+    one slice update, a long-gap term's as far ahead as the known entries
+    reach.  What is left is the block times the short-gap part of the
+    operand, so the block is its right-hand side convolved with that
+    part's inverse, solved once to L coefficients.  `block` forces L
+    (tests only).
     """
-    k = len(known)
-    n = k + rhs.shape[0]
+    n = b.shape[0]
     # 16*sqrt(nterms) balances the per-block Python work, which grows with
     # the number of short-gap terms, against the O(L^2) convolution per
     # block; it measured best on the suite's operands
@@ -79,9 +86,7 @@ def _solve_blocked(gaps, coeffs, rhs, mod, known=(), block=None):
     glist = gaps.tolist()
     clist = coeffs.tolist()
     done = list(glist)  # term t is accounted for at every position below done[t]
-    acc = rhs % mod  # acc[i - k] belongs to position i
-    b = np.empty(n, dtype=np.int64)
-    b[:k] = known
+    b[k:] %= mod
     for s in range(k, n, L):
         e = min(s + L, n)
         for t, g in enumerate(glist):
@@ -90,10 +95,11 @@ def _solve_blocked(gaps, coeffs, rhs, mod, known=(), block=None):
             if done[t] < e:
                 lo = max(done[t], s)
                 hi = min(s + g, n, lo + chunk)
-                acc[lo - k:hi - k] -= clist[t] * b[lo - g:hi - g]
+                # reads positions below s, writes positions from s on
+                b[lo:hi] -= clist[t] * b[lo - g:hi - g]
                 done[t] = hi
         m = e - s
-        b[s:e] = np.convolve(inv[:m], acc[s - k:e - k] % mod)[:m] % mod
+        b[s:e] = np.convolve(inv[:m], b[s:e] % mod)[:m] % mod
     return b
 
 
@@ -136,9 +142,10 @@ def extend_monic_sparse_mod(terms, rhs, b, order: int, mod: int) -> np.ndarray:
         return b
     gaps, coeffs = _prepare([t for t in terms[1:] if t[0] < order], mod)
     tail = np.asarray(rhs[k:order], dtype=np.int64)
-    r = np.zeros(order - k, dtype=np.int64)  # pages never written stay out of the RSS
-    r[: len(tail)] = tail % mod
-    return _solve_blocked(gaps, coeffs, r, mod, b)
+    out = np.zeros(order, dtype=np.int64)  # pages never written stay out of the RSS
+    out[:k] = b
+    out[k:k + len(tail)] = tail
+    return _solve_blocked(gaps, coeffs, out, mod, k)
 
 
 def solve_monic_sparse_mod(terms, rhs: np.ndarray, order: int, mod: int) -> np.ndarray:

@@ -6,12 +6,18 @@ reported here exceed 64 bits and must survive a JSON round trip intact.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
+
+
+def dumps(obj) -> str:
+    """Compact JSON with sorted keys: the byte-deterministic encoding of every report."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _jsonable(value):

@@ -22,14 +22,16 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, Iterator
 
 from .arith3 import is_prime, legendre, pi3
 from .counts import CountingFunction, Kind, values_at
 from .eta import EtaQuotientSpec, eta_quotient
 from .modseries import STANDARD_EXPONENT
-from .report import FAIL, PASS, SKIPPED, Report
+from .report import FAIL, PASS, SKIPPED, Report, dumps
+from .series import TruncatedSeries
 from .vectors import Family, family_vector, x_vector
 
 _RESIDUE_CAP = STANDARD_EXPONENT  # valuations read off residues are exact below this
@@ -568,26 +570,51 @@ def verify_mr10(alpha: int, beta: int, n_max: int, ell: int | None = None,
                              n_max, exact_threshold)
 
 
+@functools.lru_cache(maxsize=None)
+def _quotient(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
+    """`eta_quotient`, built once per (spec, order); the series is immutable."""
+    return eta_quotient(spec, order)
+
+
+_RATIO = EtaQuotientSpec(1, ((3, 12), (1, -12)))  # q E(q^3)^12 / E(q)^12
+_powers_lock = threading.Lock()
+# window length -> [ratio^0, ratio^1, ...], each exact below that length
+_ratio_powers: dict[int, list[TruncatedSeries]] = {}
+
+
+def _powers_of_ratio(terms: int, top: int) -> list[TruncatedSeries]:
+    """ratio^0 .. ratio^top, exact below q^terms.
+
+    One chain per window length grows on demand, one product per new
+    power, under _powers_lock; powers already built are reused.
+    """
+    with _powers_lock:
+        chain = _ratio_powers.setdefault(terms, [TruncatedSeries.one(terms)])
+        while len(chain) <= top:
+            chain.append(_quotient(_RATIO, terms) if len(chain) == 1 else chain[-1].mul(chain[1]))
+        return chain[:top + 1]
+
+
 def _weighted_quotient_window(vec, num: int, den: int, terms: int) -> list[int]:
     """Coefficients 0..terms-1 of sum_j vec(j) * q^{j-1} E(q^3)^{12j+num} / E(q)^{12j+den}.
 
-    The j-th term is the j=1 quotient times (q E(q^3)^12 / E(q)^12)^{j-1};
-    the running product keeps offset j-1 and a window of `terms`
-    coefficients.  Terms with j > terms start past the window, so the
-    loop runs over the weights inside it and ends at the last nonzero one.
+    The sum is the j=1 quotient times sum_j vec(j) * ratio^{j-1}, with
+    ratio = q E(q^3)^12 / E(q)^12: one product with a weighted sum of the
+    shared ratio powers.  ratio^{j-1} starts at q^{j-1}, so the sum runs
+    over the weights inside the window and ends at the last nonzero one.
     """
+    quotient = _quotient(EtaQuotientSpec(0, ((3, 12 + num), (1, -(12 + den)))), terms)
     weights = list(vec.values[:terms])
     while weights and not weights[-1]:
         weights.pop()
+    if not weights:
+        return [0] * terms
     total = [0] * terms
-    quotient = eta_quotient(EtaQuotientSpec(0, ((3, 12 + num), (1, -(12 + den)))), terms)
-    ratio = eta_quotient(EtaQuotientSpec(1, ((3, 12), (1, -12))), terms + 1)
-    for j, c in enumerate(weights, start=1):
-        if j > 1:
-            quotient = quotient.mul(ratio)
-        for e in range(j - 1, terms):
-            total[e] += c * quotient.coeff(e)
-    return total
+    for c, power in zip(weights, _powers_of_ratio(terms, len(weights) - 1)):
+        if c:
+            for e, a in zip(range(power.offset, terms), power.coeffs):
+                total[e] += c * a
+    return list(quotient.mul(TruncatedSeries(0, total, terms)).coeffs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -767,13 +794,18 @@ class SuiteReport:
     def by_case(self, case_id: str) -> list[Report]:
         return [r for r in self.reports if r.case == case_id]
 
-    def to_dict(self) -> dict:
+    def json_pieces(self) -> Iterator[str]:
+        """The suite JSON and a newline, one report's text at a time.
+
+        Joined, the pieces are `dumps` of {"counts", "reports", "status"}
+        plus "\\n".  A writer that takes them as they come never holds the
+        whole text, nor the dicts of more than one report.
+        """
         counts = {s: sum(1 for r in self.reports if r.status == s) for s in (PASS, FAIL, SKIPPED)}
-        return {
-            "status": self.status,
-            "counts": counts,
-            "reports": [r.to_dict() for r in self.reports],
-        }
+        yield '{"counts":' + dumps(counts) + ',"reports":['
+        for i, rep in enumerate(self.reports):
+            yield ("," if i else "") + dumps(rep.to_dict())
+        yield '],"status":' + dumps(self.status) + "}\n"
 
 
 def _case_n_max(cfg: SuiteConfig, A: int) -> int:

@@ -10,7 +10,6 @@ suite has to produce the counterexample payload, never crash.
 """
 
 import hashlib
-import json
 import random
 import time
 
@@ -49,11 +48,11 @@ DEFAULT_SUITE_SHA256 = "cb225afa8e62d8e15ca147b11e389e54cc661bfd8ca93a28ece81dd5
 
 def test_default_suite_digest(default_suite):
     suite, _ = default_suite
-    text = json.dumps(suite.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    text = "".join(suite.json_pieces())
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SUITE_SHA256
 
 
-# sha256 of the same encoding on the identity catalog at a 100-term window:
+# sha256 of the same text on the identity catalog at a 100-term window:
 # alphas (0, 1), beta 0, one class member per sign, nothing else in the grids
 IDENTITY_WINDOWS_SHA256 = "2202f8111510ea98aa688d1c73f43c4a8267e296c9e5feb3b23eca3c3029d245"
 
@@ -64,7 +63,7 @@ def test_identity_windows_digest():
                       identity_terms=100, priors_betas=(), conjecture_ks=(), conjecture_ms=(),
                       include=("H1", "H2", "T11", "D6", "T12", "T21", "T22", "T23",
                                "T24", "T25", "T31", "T311", "T32", "T321"))
-    text = json.dumps(run_suite(cfg).to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    text = "".join(run_suite(cfg).json_pieces())
     assert hashlib.sha256(text.encode()).hexdigest() == IDENTITY_WINDOWS_SHA256
 
 

@@ -61,7 +61,8 @@ def test_block_overflow_guard():
 @example(order=300, ell=0, block=None, seed=8, mod=MOD15, split=300)
 def test_blocked_solve_matches_sequential(order, ell, block, seed, mod, split):
     """ell = 0 draws a random sparse operand; otherwise the operand is E(q^ell)^3.
-    The blocked solve is given the reference's first k residues and solves the rest."""
+    The blocked solve is given the reference's first k residues followed by
+    the rest of the right-hand side, and solves the rest in place."""
     rng = np.random.default_rng(seed)
     if ell:
         gaps, coeffs = modseries._prepare(jacobi_cube_terms(ell, order)[1:], mod)
@@ -71,8 +72,9 @@ def test_blocked_solve_matches_sequential(order, ell, block, seed, mod, split):
     rhs = rng.integers(0, mod, size=order)
     expected = modseries._solve_py(gaps, coeffs, rhs, mod)
     k = split % (order + 1)
-    got = modseries._solve_blocked(gaps, coeffs, rhs[k:], mod, expected[:k], block=block)
-    assert (got == expected).all()
+    b = np.concatenate([expected[:k], rhs[k:]])
+    got = modseries._solve_blocked(gaps, coeffs, b, mod, k, block=block)
+    assert got is b and (got == expected).all()
 
 
 def test_extend_to_a_shorter_order_returns_b():
@@ -82,6 +84,23 @@ def test_extend_to_a_shorter_order_returns_b():
         assert modseries.extend_monic_sparse_mod(terms, (1,), b, order, MOD15) is b
     longer = modseries.extend_monic_sparse_mod(terms, (1,), b[:25], 40, MOD15)
     assert longer is not b and (longer == b).all()
+
+
+@pytest.mark.parametrize("k", [0, 25, 39])
+def test_extend_leaves_its_inputs_alone(k):
+    # read-only inputs make any write to them raise; rhs is not reduced, and
+    # its entries near the int64 minimum overflow an unreduced accumulator
+    terms = jacobi_cube_terms(1, 40)
+    rhs = np.arange(40, dtype=np.int64) * (MOD15 // 3) - 7
+    rhs[1::3] = np.iinfo(np.int64).min + 5
+    full = np.array([v % MOD15 for v in solve_monic_sparse(terms, rhs.tolist(), 40)])
+    b = full[:k].copy()
+    saved = b.copy(), rhs.copy()
+    for a in (b, rhs):
+        a.setflags(write=False)
+    got = modseries.extend_monic_sparse_mod(terms, rhs, b, 40, MOD15)
+    assert (got == full).all()
+    assert (b == saved[0]).all() and (rhs == saved[1]).all()
 
 
 def test_non_monic_rejected():

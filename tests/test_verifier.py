@@ -1,26 +1,34 @@
 """Catalog integrity, instantiation, and the verification engines."""
 
+import contextlib
+import io
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from q3series import counts, modseries, verifier
+from q3series import cli, counts, modseries, verifier
 from q3series.eta import EtaQuotientSpec, eta_quotient
-from q3series.report import FAIL, PASS, SKIPPED
+from q3series.report import FAIL, PASS, SKIPPED, Report
 from q3series.series import TruncatedSeries
 from q3series.vectors import family_vector
-from q3series.verifier import (SuiteConfig, _exact_div, catalog, class_members,
+from q3series.verifier import (SuiteConfig, SuiteReport, _exact_div, catalog, class_members,
                                implied_congruence_holds, instantiate, run_suite,
                                verify_congruence, verify_gf_identity, verify_mr10)
 
-# run_suite(SuiteConfig(**TestSuite.CFG)).to_dict() at the default thresholds
+# json.loads of suite_json(run_suite(SuiteConfig(**TestSuite.CFG))) at the default thresholds
 # ("default") and with exact_threshold = identity_exact_cap = 200 ("reduced"),
 # where 39 congruence and 2 identity jobs read the reduced engine.  Regenerate
 # it only with a change that is meant to alter reports.
 GOLDEN = Path(__file__).parent / "data" / "suite_small_golden.json"
+
+
+def suite_json(suite) -> str:
+    """The text `verify suite --format json` writes for `suite`."""
+    return "".join(suite.json_pieces())
 
 
 class TestCatalog:
@@ -286,6 +294,22 @@ def _direct_window(weights, num, den, terms):
     return total
 
 
+def _running_product_window(weights, num, den, terms):
+    """The window as a running product: the j=1 quotient times ratio, once per j."""
+    weights = list(weights[:terms])
+    while weights and not weights[-1]:
+        weights.pop()
+    total = [0] * terms
+    quotient = eta_quotient(EtaQuotientSpec(0, ((3, 12 + num), (1, -(12 + den)))), terms)
+    ratio = eta_quotient(EtaQuotientSpec(1, ((3, 12), (1, -12))), terms + 1)
+    for j, c in enumerate(weights, start=1):
+        if j > 1:
+            quotient = quotient.mul(ratio)
+        for e in range(j - 1, terms):
+            total[e] += c * quotient.coeff(e)
+    return total
+
+
 class TestWeightedQuotientWindow:
     @staticmethod
     def patterns(terms):
@@ -306,8 +330,10 @@ class TestWeightedQuotientWindow:
             got = verifier._weighted_quotient_window(vec, num, den, terms)
             assert got == _direct_window(weights, num, den, terms), name
 
-    @pytest.mark.parametrize("iid, level, muls", [("H1", 1, 0), ("T321", 2, 8)])
-    def test_product_ends_at_last_weight(self, monkeypatch, iid, level, muls):
+    @pytest.mark.parametrize("iid, level, top", [("H1", 1, 0), ("T321", 2, 8)])
+    def test_product_ends_at_last_weight(self, monkeypatch, iid, level, top):
+        # a fresh chain stops at ratio^(last - 1); each power past ratio^1
+        # is one product, and the window is one more
         identity = verifier._IDENTITY_BY_ID[iid]
         vec = family_vector(identity.family, 0, level, 21)
         last = max(j for j, c in enumerate(vec.values[:20], start=1) if c)
@@ -319,8 +345,43 @@ class TestWeightedQuotientWindow:
             return mul(self, other)
 
         monkeypatch.setattr(TruncatedSeries, "mul", counted)
+        monkeypatch.setattr(verifier, "_ratio_powers", {})
         verifier._weighted_quotient_window(vec, identity.num, identity.den, 20)
-        assert len(calls) == last - 1 == muls
+        assert len(verifier._ratio_powers[20]) - 1 == last - 1 == top
+        assert len(calls) == max(top - 1, 0) + 1
+
+    @pytest.mark.parametrize("terms", [30, 100])
+    def test_matches_running_product(self, terms):
+        # every (num, den) of the catalog, with the identity's own vector at
+        # beta 0 and 1; at 30 terms also with a weight on every power
+        dense = [tuple(range(-7, terms - 7))] if terms == 30 else []
+        pairs = {}
+        for identity in verifier._IDENTITIES:
+            for beta in (0, 1):
+                level = identity.level({"alpha": 0, "beta": beta})
+                vec = family_vector(identity.family, 0, level, terms + 1)
+                pairs.setdefault((identity.num, identity.den), []).append(vec.values)
+        assert len(pairs) == 10
+        for (num, den), weight_lists in sorted(pairs.items()):
+            for weights in weight_lists + dense:
+                vec = SimpleNamespace(values=weights)
+                got = verifier._weighted_quotient_window(vec, num, den, terms)
+                assert got == _running_product_window(weights, num, den, terms), (num, den)
+
+    def test_short_chain_then_long(self, monkeypatch):
+        short_first = {}
+        monkeypatch.setattr(verifier, "_ratio_powers", short_first)
+        verifier._powers_of_ratio(30, 3)
+        verifier._powers_of_ratio(30, 1)
+        grown = verifier._powers_of_ratio(30, 29)
+        monkeypatch.setattr(verifier, "_ratio_powers", {})
+        direct = verifier._powers_of_ratio(30, 29)
+        assert len(grown) == len(direct) == len(short_first[30]) == 30
+        for k, (a, b) in enumerate(zip(grown, direct)):
+            assert a.offset == b.offset == k
+            assert [a.coeff(e) for e in range(30)] == [b.coeff(e) for e in range(30)]
+        ratio = eta_quotient(EtaQuotientSpec(1, ((3, 12), (1, -12))), 30)
+        assert [grown[1].coeff(e) for e in range(30)] == [ratio.coeff(e) for e in range(30)]
 
 
 class TestSuite:
@@ -331,7 +392,7 @@ class TestSuite:
     def test_deterministic(self):
         a = run_suite(SuiteConfig(**self.CFG))
         b = run_suite(SuiteConfig(**self.CFG))
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert suite_json(a) == suite_json(b)
 
     @pytest.mark.parametrize("name, thresholds", [
         ("default", {}),
@@ -340,7 +401,7 @@ class TestSuite:
     def test_matches_golden_report(self, name, thresholds):
         golden = json.loads(GOLDEN.read_text())[name]
         suite = run_suite(SuiteConfig(**dict(self.CFG, **thresholds)))
-        assert json.dumps(suite.to_dict(), sort_keys=True) == json.dumps(golden, sort_keys=True)
+        assert json.dumps(json.loads(suite_json(suite)), sort_keys=True) == json.dumps(golden, sort_keys=True)
 
     def test_include_filter(self):
         suite = run_suite(SuiteConfig(**dict(self.CFG, include=("MR1", "H1"))))
@@ -364,6 +425,64 @@ class TestSuite:
     def test_config_threads_key_ignored(self):
         # older configs carry "threads"; the suite runs serially either way
         assert SuiteConfig.from_json('{"threads": 2, "n_max": 5}') == SuiteConfig.from_json('{"n_max": 5}')
+
+
+def _one_dump(suite) -> str:
+    """The suite JSON as one dict dumped at once: what the pieces must join to."""
+    counts = {s: sum(1 for r in suite.reports if r.status == s) for s in (PASS, FAIL, SKIPPED)}
+    d = {"status": suite.status, "counts": counts, "reports": [r.to_dict() for r in suite.reports]}
+    return json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestSuiteJson:
+    @staticmethod
+    def suite(name):
+        if name == "empty":
+            return SuiteReport().finalize()
+        if name == "one-report":
+            return SuiteReport([verify_congruence("MR9", {"alpha": 0, "beta": 0, "ell": 6}, 30)]).finalize()
+        if name == "error-report":
+            job = ("congruence", "MR7", {"alpha": 0, "beta": 0, "ell": 4}, {"n_max": 5})
+            return SuiteReport([verifier._error_report(job, ValueError("4 is not a member"))]).finalize()
+        return run_suite(SuiteConfig(**TestSuite.CFG))
+
+    @pytest.mark.parametrize("name", ["empty", "one-report", "error-report", "small-config"])
+    def test_pieces_join_to_one_dump(self, name):
+        suite = self.suite(name)
+        assert suite_json(suite) == _one_dump(suite)
+
+    def test_cli_writes_the_pieces(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(SuiteConfig(**TestSuite.CFG).to_json())
+        code = cli.main(["verify", "suite", "--config", str(path), "--format", "json"])
+        out = capsys.readouterr().out
+        suite = self.suite("small-config")
+        assert out == suite_json(suite) == _one_dump(suite)
+        assert code == (0 if suite.status == PASS else 1)
+
+    def test_written_one_report_at_a_time(self):
+        # over 1 MB of failures; the writer may hold about one report's text
+        failures = [{"n": n, "value": str(7**60 + n), "valuation": 1, "required": 5} for n in range(60)]
+        suite = SuiteReport([Report("MR9", {"alpha": 0, "ell": 6 + 9 * i}, 60, failures, FAIL)
+                             for i in range(250)]).finalize()
+
+        class Counter(io.TextIOBase):
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+                return len(text)
+
+        sink = Counter()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                cli._emit_json(suite.json_pieces())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size == len(_one_dump(suite)) > 1 << 20
+        assert peak < sink.size / 4
 
 
 class TestSuiteReadsPoints:
