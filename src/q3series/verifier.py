@@ -15,6 +15,12 @@ Index conventions for case parameters:
 * ``ell``             modulus parameter of the counting function; for
                       residue-class cases any member of +-base mod 3*base
 * ``p``/``k``         auxiliary prime and its odd-power index
+
+A negative alpha, beta, k or m (k and m also index the open statements)
+is a ValueError.  Each identity names the congruence it implies
+(``GfIdentity.implies``), which holds its progression and lemma exponent:
+a cataloged family for nine of them (T11 implies MR1, for one), a record
+of its own that ``catalog()`` does not list for H1, H2, D6, T23 and T311.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import functools
 import json
 import math
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator
 
 from .arith3 import is_prime, legendre, pi3
@@ -80,6 +86,8 @@ _B_DEN = 8  # every progression shift in both catalogs is B_num / 8
 
 
 def _pow3(e: int) -> int:
+    if e < 0:
+        raise ValueError(f"3^{e} is not an integer: a parameter is out of range")
     return 3**e
 
 
@@ -109,7 +117,7 @@ class CongruenceCase:
 
     id: str
     kind: Kind
-    ell: Callable[[dict], int]
+    ell: Callable[[dict], int | None]  # None for p3, which has no modulus parameter
     A: Callable[[dict], int]
     B_num: Callable[[dict], int]
     exponent: Callable[[dict], int]
@@ -124,6 +132,9 @@ class CongruenceCase:
         if missing:
             raise ValueError(f"{self.id} needs parameters {missing}")
         params = {k: int(params[k]) for k in self.param_names}
+        for name in ("alpha", "beta", "k", "m"):
+            if params.get(name, 0) < 0:
+                raise ValueError(f"{self.id}: {name}={params[name]} must be at least 0")
         if self.prime_class is not None:
             p = params["p"]
             if self.prime_class == "3mod4" and (not is_prime(p) or p % 4 != 3):
@@ -316,103 +327,63 @@ _CASE_BY_ID = {c.id: c for c in _CASES}
 class GfIdentity:
     """Progression generating function = m-weighted sum of quotients.
 
+    The left-hand side is the progression of `implies`, the congruence
+    the identity forces: its function, progression and parameters are the
+    identity's, and its exponent is the lemma exponent, the power of 3
+    that divides every weight of the family vector.
+
     The j-th right-hand term is  coeff_j * q^{j-1} * E(q^3)^{12j+num} / E(q)^{12j+den};
     its q-valuation is j-1, so a window of `terms` coefficients needs
     j <= terms only.
     """
 
     id: str
-    kind: Kind | None  # None means the three-color base function
+    implies: CongruenceCase
     family: Family
     level: Callable[[dict], int]
-    ell: Callable[[dict], int|None]
-    A: Callable[[dict], int]
-    B_num: Callable[[dict], int]
     num: int
     den: int
-    lemma_exponent: Callable[[dict], int]
-    param_names: tuple[str, ...]
 
-    def instantiate(self, params: dict) -> tuple[CountingFunction, Progression, int, int, dict]:
-        missing = [k for k in self.param_names if k not in params]
-        if missing:
-            raise ValueError(f"{self.id} needs parameters {missing}")
-        params = {k: int(params[k]) for k in self.param_names}
-        ell = self.ell(params)
-        fn = CountingFunction(Kind.P3) if self.kind is None else CountingFunction(self.kind, ell)
-        prog = Progression(self.A(params), _exact_div(self.B_num(params), _B_DEN))
-        return fn, prog, self.level(params), self.lemma_exponent(params), params
 
+# what the identities without a cataloged congruence imply; checked only as identities
+_UNLISTED = {c.id: c for c in [
+    CongruenceCase("H1", Kind.P3, lambda P: None,
+                   lambda P: _pow3(2 * P["alpha"] + 1),
+                   lambda P: 5 * _pow3(2 * P["alpha"] + 1) + 1,
+                   lambda P: 3 * P["alpha"] + 2, ("alpha",)),
+    CongruenceCase("H2", Kind.P3, lambda P: None,
+                   lambda P: _pow3(2 * P["alpha"] + 2),
+                   lambda P: 7 * _pow3(2 * P["alpha"] + 2) + 1,
+                   lambda P: 3 * P["alpha"] + 4, ("alpha",)),
+    CongruenceCase("D6", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
+                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
+                   lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - _pow3(2 * P["alpha"] + 1) + 1,
+                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
+    CongruenceCase("T23", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
+                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
+                   lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 3) + _pow3(2 * P["alpha"] + 2) + 1,
+                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 4, ("alpha", "beta")),
+    CongruenceCase("T311", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
+                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
+                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
+                   lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell")),
+]}
 
 _IDENTITIES: list[GfIdentity] = [
-    GfIdentity("H1", None, Family.X, lambda P: 2 * P["alpha"] + 1, lambda P: None,
-               lambda P: _pow3(2 * P["alpha"] + 1),
-               lambda P: 5 * _pow3(2 * P["alpha"] + 1) + 1, -3, 0,
-               lambda P: 3 * P["alpha"] + 2, ("alpha",)),
-    GfIdentity("H2", None, Family.X, lambda P: 2 * P["alpha"] + 2, lambda P: None,
-               lambda P: _pow3(2 * P["alpha"] + 2),
-               lambda P: 7 * _pow3(2 * P["alpha"] + 2) + 1, 0, 3,
-               lambda P: 3 * P["alpha"] + 4, ("alpha",)),
-    GfIdentity("T11", Kind.REGULAR_TRIPLE, Family.R, lambda P: 2 * P["beta"] + 1,
-               lambda P: _pow3(2 * P["alpha"] + 1),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-               lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - _pow3(2 * P["alpha"] + 1) + 1,
-               -3, -3, lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
-    GfIdentity("D6", Kind.REGULAR_TRIPLE, Family.R, lambda P: 2 * P["beta"] + 2,
-               lambda P: _pow3(2 * P["alpha"] + 1),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-               lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - _pow3(2 * P["alpha"] + 1) + 1,
-               -9, -9, lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
-    GfIdentity("T12", Kind.REGULAR_TRIPLE, Family.S, lambda P: P["beta"] + 1,
-               lambda P: _pow3(2 * P["alpha"] + 2),
-               lambda P: _pow3(2 * P["alpha"] + P["beta"] + 1),
-               lambda P: 8 * _pow3(2 * P["alpha"] + P["beta"] + 1) - _pow3(2 * P["alpha"] + 2) + 1,
-               0, 0, lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
-    GfIdentity("T21", Kind.TWO_COLOR_TRIPLE, Family.U, lambda P: P["beta"] + 1,
-               lambda P: _pow3(2 * P["alpha"] + 1),
-               lambda P: _pow3(2 * P["alpha"] + P["beta"] + 1),
-               lambda P: 4 * _pow3(2 * P["alpha"] + P["beta"] + 1) + _pow3(2 * P["alpha"] + 1) + 1,
-               -3, 3, lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta")),
-    GfIdentity("T22", Kind.TWO_COLOR_TRIPLE, Family.V, lambda P: 2 * P["beta"] + 1,
-               lambda P: _pow3(2 * P["alpha"] + 2),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-               lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + _pow3(2 * P["alpha"] + 2) + 1,
-               -6, 0, lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
-    GfIdentity("T23", Kind.TWO_COLOR_TRIPLE, Family.V, lambda P: 2 * P["beta"] + 2,
-               lambda P: _pow3(2 * P["alpha"] + 2),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-               lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 3) + _pow3(2 * P["alpha"] + 2) + 1,
-               0, 6, lambda P: 3 * P["alpha"] + 2 * P["beta"] + 4, ("alpha", "beta")),
-    GfIdentity("T24", Kind.TWO_COLOR_TRIPLE, Family.W, lambda P: 2 * P["beta"] + 1,
-               lambda P: _check_class_member(P["ell"], _class_base(P, True)),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-               lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
-               0, 3, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 2, ("alpha", "beta", "ell")),
-    GfIdentity("T25", Kind.TWO_COLOR_TRIPLE, Family.W, lambda P: 2 * P["beta"] + 2,
-               lambda P: _check_class_member(P["ell"], _class_base(P, True)),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-               lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
-               -3, 0, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 3, ("alpha", "beta", "ell")),
-    GfIdentity("T31", Kind.REGULAR_TRIPLE, Family.Y, lambda P: 2 * P["beta"] + 1,
-               lambda P: _check_class_member(P["ell"], _class_base(P, True)),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
-               -6, -3, lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell")),
-    GfIdentity("T311", Kind.REGULAR_TRIPLE, Family.Y, lambda P: 2 * P["beta"] + 2,
-               lambda P: _check_class_member(P["ell"], _class_base(P, True)),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
-               -9, -6, lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell")),
-    GfIdentity("T32", Kind.REGULAR_TRIPLE, Family.Z, lambda P: 2 * P["beta"] + 1,
-               lambda P: _check_class_member(P["ell"], _class_base(P, False)),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-               lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
-               -3, 0, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell")),
-    GfIdentity("T321", Kind.REGULAR_TRIPLE, Family.Z, lambda P: 2 * P["beta"] + 2,
-               lambda P: _check_class_member(P["ell"], _class_base(P, False)),
-               lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
-               lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 3) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
-               0, 3, lambda P: 3 * P["alpha"] + 3 * P["beta"] + 6, ("alpha", "beta", "ell")),
+    GfIdentity("H1", _UNLISTED["H1"], Family.X, lambda P: 2 * P["alpha"] + 1, -3, 0),
+    GfIdentity("H2", _UNLISTED["H2"], Family.X, lambda P: 2 * P["alpha"] + 2, 0, 3),
+    GfIdentity("T11", _CASE_BY_ID["MR1"], Family.R, lambda P: 2 * P["beta"] + 1, -3, -3),
+    GfIdentity("D6", _UNLISTED["D6"], Family.R, lambda P: 2 * P["beta"] + 2, -9, -9),
+    GfIdentity("T12", _CASE_BY_ID["MR5"], Family.S, lambda P: P["beta"] + 1, 0, 0),
+    GfIdentity("T21", _CASE_BY_ID["MR15"], Family.U, lambda P: P["beta"] + 1, -3, 3),
+    GfIdentity("T22", _CASE_BY_ID["MR17"], Family.V, lambda P: 2 * P["beta"] + 1, -6, 0),
+    GfIdentity("T23", _UNLISTED["T23"], Family.V, lambda P: 2 * P["beta"] + 2, 0, 6),
+    GfIdentity("T24", _CASE_BY_ID["MR21"], Family.W, lambda P: 2 * P["beta"] + 1, 0, 3),
+    GfIdentity("T25", _CASE_BY_ID["MR23"], Family.W, lambda P: 2 * P["beta"] + 2, -3, 0),
+    GfIdentity("T31", _CASE_BY_ID["MR7"], Family.Y, lambda P: 2 * P["beta"] + 1, -6, -3),
+    GfIdentity("T311", _UNLISTED["T311"], Family.Y, lambda P: 2 * P["beta"] + 2, -9, -6),
+    GfIdentity("T32", _CASE_BY_ID["MR12"], Family.Z, lambda P: 2 * P["beta"] + 1, -3, 0),
+    GfIdentity("T321", _CASE_BY_ID["MR14"], Family.Z, lambda P: 2 * P["beta"] + 2, 0, 3),
 ]
 
 _IDENTITY_BY_ID = {i.id: i for i in _IDENTITIES}
@@ -431,15 +402,19 @@ def instantiate(case_id: str, params: dict) -> CaseInstance:
     return case.instantiate(params)
 
 
+def _identity_instance(identity_id: str, params: dict) -> tuple[GfIdentity, CaseInstance]:
+    """The identity and its left-hand side: the congruence it implies,
+    instantiated under the identity's own id."""
+    identity = _IDENTITY_BY_ID.get(identity_id)
+    if identity is None:
+        raise KeyError(f"unknown identity {identity_id!r}")
+    return identity, replace(identity.implies, id=identity.id).instantiate(params)
+
+
 # -- engines ---------------------------------------------------------------
 
 _REDUCED_ENGINE = f"reduced(3^{STANDARD_EXPONENT})"
 IDENTITY_MODES = ("exact", "mod", "auto")
-
-
-def _congruence_exact(prog: Progression, n_max: int, exact_threshold: int) -> bool:
-    """Whether a congruence check on n <= n_max reads the exact engine."""
-    return prog.index(n_max) < exact_threshold
 
 
 def _identity_exact(prog: Progression, terms: int, mode: str, exact_order_cap: int) -> bool:
@@ -506,8 +481,12 @@ def verify_congruence(case_id: str, params: dict, n_max: int,
     precision when the fast path was used).  A reduced reading that
     cannot decide the stated exponent is SKIPPED (see `_settle`).
     """
-    inst = instantiate(case_id, params)
-    exact = _congruence_exact(inst.progression, n_max, exact_threshold)
+    return _check_instance(instantiate(case_id, params), n_max, exact_threshold)
+
+
+def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Report:
+    """The congruence check of `verify_congruence`, on a resolved instance."""
+    exact = inst.progression.index(n_max) < exact_threshold
     ns = [n for n in range(n_max + 1) if inst.n_filter is None or inst.n_filter(n)]
     values, capped = _read(inst.fn, inst.progression, ns, exact)
     rep = Report(case=inst.case, params=dict(inst.params) | {"n_max": n_max}, checked=len(ns))
@@ -640,14 +619,12 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     congruence, and to what power?" is part of every report.  A reduced
     reading that cannot decide the lemma exponent is SKIPPED (see `_settle`).
     """
-    identity = _IDENTITY_BY_ID.get(identity_id)
-    if identity is None:
-        raise KeyError(f"unknown identity {identity_id!r}")
-    fn, prog, level, lemma_e, params = identity.instantiate(params)
+    identity, inst = _identity_instance(identity_id, params)
+    fn, prog, lemma_e, params = inst.fn, inst.progression, inst.exponent, inst.params
     exact = _identity_exact(prog, terms, mode, exact_order_cap)
     rep = Report(case=identity_id, params=dict(params) | {"terms": terms, "mode": mode},
                  checked=terms)
-    rhs = _rhs_window(identity, level, params["alpha"], terms)
+    rhs = _rhs_window(identity, identity.level(params), params["alpha"], terms)
     lhs, capped = _read(fn, prog, range(terms), exact)
     valuations, diff_min, hit_cap = _scan([a - b for a, b in zip(lhs, rhs)], capped)
     exact_equal = lhs == rhs if exact else None
@@ -681,10 +658,9 @@ def probe_seed_reading(identity_id: str, alpha: int, terms: int = 20) -> dict:
     """
     if identity_id not in ("T12", "T22"):
         raise ValueError("the seed question concerns T12 and T22 only")
-    identity = _IDENTITY_BY_ID[identity_id]
-    fn, prog, level, _e, _p = identity.instantiate({"alpha": alpha, "beta": 0})
-    assert level == 1
-    lhs, _ = _read(fn, prog, range(terms), True)
+    identity, inst = _identity_instance(identity_id, {"alpha": alpha, "beta": 0})
+    assert identity.level(inst.params) == 1
+    lhs, _ = _read(inst.fn, inst.progression, range(terms), True)
     verdict = {}
     for label, k in (("odd_base_seed", 2 * alpha + 1), ("even_base_seed", 2 * alpha + 2)):
         vec = x_vector(k, terms + 1)
@@ -697,16 +673,14 @@ def implied_congruence_holds(identity_id: str, params: dict, n_max: int = 60,
     """Check the congruence a passing identity forces on its progression:
     every coefficient divisible by 3^lemma_exponent.
 
-    A reduced reading that cannot decide the lemma exponent (the rule of
-    `_settle`) raises ValueError instead of answering.
+    This is `verify_congruence`'s check on the identity's `implies`: True
+    when it passes.  A reduced reading that cannot decide the lemma
+    exponent (the rule of `_settle`) raises ValueError instead of answering.
     """
-    fn, prog, _level, lemma_e, _ = _IDENTITY_BY_ID[identity_id].instantiate(params)
-    exact = _congruence_exact(prog, n_max, exact_threshold)
-    valuations, _, hit_cap = _scan(*_read(fn, prog, range(n_max + 1), exact))
-    undecided = _settle(Report(identity_id), hit_cap, lemma_e).extras.get("undecided")
-    if undecided:
-        raise ValueError(undecided)
-    return all(val is None or val >= lemma_e for val in valuations)
+    rep = _check_instance(_identity_instance(identity_id, params)[1], n_max, exact_threshold)
+    if "undecided" in rep.extras:
+        raise ValueError(rep.extras["undecided"])
+    return rep.status == PASS
 
 
 # -- suite ------------------------------------------------------------------
@@ -714,6 +688,10 @@ def implied_congruence_holds(identity_id: str, params: dict, n_max: int = 60,
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+_DEPTH_GRIDS = frozenset({"alphas", "betas", "prime_alphas", "prime_betas", "prime_ks",
+                          "priors_betas", "conjecture_ks", "conjecture_ms"})
 
 
 @dataclass
@@ -746,9 +724,10 @@ class SuiteConfig:
     def from_json(cls, text: str) -> "SuiteConfig":
         """Parse a config; a malformed one is a ValueError naming the field.
 
-        Grids are lists of integers, `include` is null or a list of ids,
-        every other field is an integer.  A "threads" integer, which older
-        configs carry, is accepted and ignored: the suite runs serially.
+        Grids are lists of integers, those of alpha, beta, k and m values
+        from 0; `include` is null or a list of catalog ids; every other
+        field is an integer.  A "threads" integer, which older configs
+        carry, is accepted and ignored: the suite runs serially.
         """
         raw = json.loads(text)
         if not isinstance(raw, dict):
@@ -760,6 +739,8 @@ class SuiteConfig:
         for name, v in raw.items():
             if isinstance(defaults[name], tuple):
                 want, ok = "a list of integers", isinstance(v, list) and all(map(_is_int, v))
+                if ok and name in _DEPTH_GRIDS:
+                    want, ok = "a list of integers from 0", min(v, default=0) >= 0
             elif defaults[name] is None:
                 want, ok = "null or a list of strings", v is None or (
                     isinstance(v, list) and all(isinstance(x, str) for x in v))
@@ -767,6 +748,9 @@ class SuiteConfig:
                 want, ok = "an integer", _is_int(v)
             if not ok:
                 raise ValueError(f"suite config field {name!r} must be {want}, not {v!r}")
+        unknown = sorted(set(raw.get("include") or ()) - _CASE_BY_ID.keys() - _IDENTITY_BY_ID.keys())
+        if unknown:
+            raise ValueError(f"suite config field 'include' names ids not in the catalog: {unknown}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items() if k != "threads"})
 
     def to_json(self) -> str:

@@ -1,11 +1,14 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import q3series
 from q3series.cli import main
 
 
@@ -106,6 +109,22 @@ class TestVerify:
         data = json.loads(out)
         assert code == 0 and data["exact_equal"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ("congruence", "--case", "MR5", "--alpha", "0", "--beta", "-1"),  # would PASS at exponent 0
+        ("congruence", "--case", "B1", "--beta", "-1"),
+        ("congruence", "--case", "T1", "--beta", "-1"),  # would FAIL outside the family
+        ("congruence", "--case", "MR4", "--alpha", "0", "--beta", "0", "--p", "7", "--k", "-1"),
+        ("identity", "--id", "T11", "--alpha", "-1", "--beta", "0"),
+    ])
+    def test_negative_parameter_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.endswith("=-1 must be at least 0\n")
+
+    def test_identity_missing_parameter_names_identity(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "identity", "--id", "T11", "--alpha", "0")
+        assert (code, out, err) == (2, "", "error: T11 needs parameters ['beta']\n")
+
     def test_invalid_class_member_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "congruence", "--case", "MR7",
                                "--alpha", "0", "--beta", "0", "--ell", "4")
@@ -147,6 +166,9 @@ class TestSuiteConfigErrors:
         '{"threads": "2"}',       # threads not an integer
         '{"threads": null}',
         '{"include": "MR171"}',   # a string would match ids by substring
+        '{"alphas": [-1]}',       # would write 3^-1 as an ell
+        '{"prime_ks": [0, -1]}',
+        '{"include": ["MR1x"]}',  # would run an empty suite
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, doc):
         path = tmp_path / "cfg.json"
@@ -212,6 +234,9 @@ def test_unknown_flag_exits_2(capsys):
 def test_byte_identical_reruns():
     cmd = [sys.executable, "-m", "q3series.cli", "verify", "congruence",
            "--case", "G1", "--beta", "0", "--nmax", "40"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    # the child imports the package this process imported, installed or not
+    src = str(Path(q3series.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    a = subprocess.run(cmd, capture_output=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.stdout == b.stdout and a.returncode == b.returncode == 0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from q3series import cli, counts, modseries, verifier
+from q3series.counts import Kind
 from q3series.eta import EtaQuotientSpec, eta_quotient
 from q3series.report import FAIL, PASS, SKIPPED, Report
 from q3series.series import TruncatedSeries
@@ -97,6 +98,112 @@ class TestInstantiate:
     def test_class_member_sets(self):
         assert class_members(3, 4) == [3, 6, 12, 15, 21, 24, 30, 33]
         assert class_members(9, 2) == [9, 18, 36, 45]
+
+    @pytest.mark.parametrize("case_id, params", [
+        ("MR5", {"alpha": 0, "beta": -1}),   # exponent 0: would pass anything
+        ("B1", {"beta": -1}),
+        ("T1", {"beta": -1}),
+        ("MR4", {"alpha": 0, "beta": 0, "p": 7, "k": -1}),
+        ("MR1", {"alpha": -1, "beta": 0}),
+        ("BC1", {"k": 1, "m": -1}),
+    ])
+    def test_negative_parameters_rejected(self, case_id, params):
+        name = next(k for k, v in params.items() if v < 0)
+        with pytest.raises(ValueError, match=f"{case_id}: {name}=-1 must be at least 0"):
+            instantiate(case_id, params)
+
+    def test_negative_power_of_three_rejected(self):
+        with pytest.raises(ValueError, match=r"3\^-1"):
+            instantiate("BC2", {"k": 0, "m": 0})
+        with pytest.raises(ValueError, match=r"3\^-1"):
+            run_suite(SuiteConfig(**dict(TestSuite.CFG, alphas=(-1,))))
+
+
+def _p3(e):
+    return 3**e
+
+
+# The nine identities whose congruence is cataloged, with their progressions
+# as written out per identity before `GfIdentity.implies` existed:
+# (implied case, kind, ell or class base, residue class?, A, B_num, exponent).
+# B = B_num / 8; a residue-class identity takes any ell = +-base mod 3*base.
+LINKED = {
+    "T11": ("MR1", Kind.REGULAR_TRIPLE, lambda P: _p3(2 * P["alpha"] + 1), False,
+            lambda P: _p3(2 * P["alpha"] + 2 * P["beta"] + 1),
+            lambda P: 2 * _p3(2 * P["alpha"] + 2 * P["beta"] + 2) - _p3(2 * P["alpha"] + 1) + 1,
+            lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2),
+    "T12": ("MR5", Kind.REGULAR_TRIPLE, lambda P: _p3(2 * P["alpha"] + 2), False,
+            lambda P: _p3(2 * P["alpha"] + P["beta"] + 1),
+            lambda P: 8 * _p3(2 * P["alpha"] + P["beta"] + 1) - _p3(2 * P["alpha"] + 2) + 1,
+            lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2),
+    "T21": ("MR15", Kind.TWO_COLOR_TRIPLE, lambda P: _p3(2 * P["alpha"] + 1), False,
+            lambda P: _p3(2 * P["alpha"] + P["beta"] + 1),
+            lambda P: 4 * _p3(2 * P["alpha"] + P["beta"] + 1) + _p3(2 * P["alpha"] + 1) + 1,
+            lambda P: 3 * P["alpha"] + P["beta"] + 2),
+    "T22": ("MR17", Kind.TWO_COLOR_TRIPLE, lambda P: _p3(2 * P["alpha"] + 2), False,
+            lambda P: _p3(2 * P["alpha"] + 2 * P["beta"] + 1),
+            lambda P: 2 * _p3(2 * P["alpha"] + 2 * P["beta"] + 1) + _p3(2 * P["alpha"] + 2) + 1,
+            lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2),
+    "T24": ("MR21", Kind.TWO_COLOR_TRIPLE, lambda P: _p3(2 * P["alpha"] + 1), True,
+            lambda P: _p3(2 * P["alpha"] + 2 * P["beta"] + 1),
+            lambda P: 7 * _p3(2 * P["alpha"] + 2 * P["beta"] + 1) - 2 * _p3(2 * P["alpha"] + 1) + 1,
+            lambda P: 3 * P["alpha"] + 3 * P["beta"] + 2),
+    "T25": ("MR23", Kind.TWO_COLOR_TRIPLE, lambda P: _p3(2 * P["alpha"] + 1), True,
+            lambda P: _p3(2 * P["alpha"] + 2 * P["beta"] + 2),
+            lambda P: 5 * _p3(2 * P["alpha"] + 2 * P["beta"] + 2) - 2 * _p3(2 * P["alpha"] + 1) + 1,
+            lambda P: 3 * P["alpha"] + 3 * P["beta"] + 3),
+    "T31": ("MR7", Kind.REGULAR_TRIPLE, lambda P: _p3(2 * P["alpha"] + 1), True,
+            lambda P: _p3(2 * P["alpha"] + 2 * P["beta"] + 1),
+            lambda P: _p3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _p3(2 * P["alpha"] + 1) + 1,
+            lambda P: 3 * P["alpha"] + P["beta"] + 2),
+    "T32": ("MR12", Kind.REGULAR_TRIPLE, lambda P: _p3(2 * P["alpha"] + 2), True,
+            lambda P: _p3(2 * P["alpha"] + 2 * P["beta"] + 2),
+            lambda P: 5 * _p3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _p3(2 * P["alpha"] + 2) + 1,
+            lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4),
+    "T321": ("MR14", Kind.REGULAR_TRIPLE, lambda P: _p3(2 * P["alpha"] + 2), True,
+             lambda P: _p3(2 * P["alpha"] + 2 * P["beta"] + 3),
+             lambda P: 7 * _p3(2 * P["alpha"] + 2 * P["beta"] + 3) + 2 * _p3(2 * P["alpha"] + 2) + 1,
+             lambda P: 3 * P["alpha"] + 3 * P["beta"] + 6),
+}
+UNLISTED = ("H1", "H2", "D6", "T23", "T311")  # their congruences are not cataloged
+
+
+class TestIdentityLink:
+    def test_implied_cases(self):
+        cases = catalog()["congruences"]
+        by_id = {c.id: c for c in cases}
+        identities = {i.id: i for i in catalog()["identities"]}
+        assert set(identities) == set(LINKED) | set(UNLISTED)
+        for iid, (case_id, *_) in LINKED.items():
+            assert identities[iid].implies is by_id[case_id]
+        for iid in UNLISTED:
+            implies = identities[iid].implies
+            assert implies.id == iid and iid not in by_id
+            assert all(c is not implies for c in cases)
+        assert identities["H1"].implies.kind is Kind.P3 is identities["H2"].implies.kind
+
+    @pytest.mark.parametrize("iid", sorted(LINKED))
+    def test_progression_matches_reference(self, iid):
+        _, kind, base, residue_class, A, B_num, exponent = LINKED[iid]
+        for alpha in range(4):
+            for beta in range(4):
+                P = {"alpha": alpha, "beta": beta}
+                for ell in class_members(base(P), 2) if residue_class else [base(P)]:
+                    params = dict(P, ell=ell) if residue_class else P
+                    _, inst = verifier._identity_instance(iid, params)
+                    assert inst.case == iid and inst.params == params
+                    assert inst.fn.label() == f"{kind.value}({ell})"
+                    assert B_num(params) % 8 == 0
+                    assert (inst.progression.A, inst.progression.B, inst.exponent) == \
+                        (A(params), B_num(params) // 8, exponent(params))
+
+    def test_errors_name_the_identity(self):
+        with pytest.raises(ValueError, match=r"^T11 needs parameters \['beta'\]$"):
+            verify_gf_identity("T11", {"alpha": 0})
+        with pytest.raises(ValueError, match=r"^T31: beta=-1 must be at least 0$"):
+            verify_gf_identity("T31", {"alpha": 0, "beta": -1, "ell": 3})
+        with pytest.raises(KeyError):
+            implied_congruence_holds("MR1", {"alpha": 0, "beta": 0})
 
 
 class TestVerifyCongruence:
@@ -421,6 +528,17 @@ class TestSuite:
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             SuiteConfig.from_json('{"bogus": 1}')
+
+    @pytest.mark.parametrize("name", sorted(verifier._DEPTH_GRIDS))
+    def test_config_rejects_negative_depths(self, name):
+        assert SuiteConfig.from_json(json.dumps({name: [0, 2]})) == SuiteConfig(**{name: (0, 2)})
+        with pytest.raises(ValueError, match=f"field '{name}' must be a list of integers from 0"):
+            SuiteConfig.from_json(json.dumps({name: [0, -1]}))
+
+    def test_config_rejects_unknown_include_ids(self):
+        assert SuiteConfig.from_json('{"include": ["MR1", "H1"]}').include == ("MR1", "H1")
+        with pytest.raises(ValueError, match=r"'include' names ids not in the catalog: \['D7', 'MR1x'\]"):
+            SuiteConfig.from_json('{"include": ["MR1x", "T11", "D7"]}')
 
     def test_config_threads_key_ignored(self):
         # older configs carry "threads"; the suite runs serially either way
