@@ -1,32 +1,30 @@
 #!/usr/bin/env python3
 """Survey how far the residue-class congruence families actually hold.
 
-For each residue-class case and parameter point, prints the nominal
-exponent next to the largest exponent observed across the checked range.
-The gap pattern (sign of the class member, depth of the progression) is
-the interesting output; see the suite report for the raw counterexamples.
+For each residue-class case without a prime parameter and each parameter
+point, prints the nominal exponent next to the largest exponent observed
+across the checked range.  The gap pattern (sign of the class member,
+depth of the progression) is the interesting output; see the suite
+report for the raw counterexamples.
 
 Usage: python scripts/scan_class_exponents.py [n_max]
 """
 
 import sys
 
-from q3series.verifier import class_members, verify_congruence
-
-CASES = ("MR7", "MR8", "MR9", "MR10", "MR12", "MR13", "MR14",
-         "MR21", "MR22", "MR23", "MR24")
-EVEN_BASE = {"MR12", "MR13", "MR14"}
+from q3series.verifier import ResidueClass, catalog, class_members, verify_congruence
 
 
 def main() -> int:
     n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 60
     print(f"{'case':6s} {'a':>2s} {'b':>2s} {'ell':>4s} {'nominal':>8s} {'observed':>9s}")
-    for case in CASES:
+    for case in catalog()["congruences"]:
+        if not isinstance(case.ell, ResidueClass) or case.prime_class is not None:
+            continue
         for alpha in (0, 1):
-            base = 3 ** (2 * alpha + (2 if case in EVEN_BASE else 1))
             for beta in (0, 1):
-                for ell in class_members(base, 2):
-                    rep = verify_congruence(case, {"alpha": alpha, "beta": beta, "ell": ell},
+                for ell in class_members(case.ell.base(alpha), 2):
+                    rep = verify_congruence(case.id, {"alpha": alpha, "beta": beta, "ell": ell},
                                             n_max)
                     holds = rep.extras.get("holds_to_exponent",
                                            rep.extras.get("branch_holds_to_exponent"))
@@ -34,7 +32,7 @@ def main() -> int:
                     if rep.extras.get("exponent_capped"):
                         shown = ">=" + shown
                     mark = "" if rep.status == "PASS" else "   <-- overshoot"
-                    print(f"{case:6s} {alpha:2d} {beta:2d} {ell:4d} "
+                    print(f"{case.id:6s} {alpha:2d} {beta:2d} {ell:4d} "
                           f"{rep.extras['modulus_exponent']:8d} {shown:>9s}{mark}")
     return 0
 

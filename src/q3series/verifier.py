@@ -17,10 +17,12 @@ Index conventions for case parameters:
 * ``p``/``k``         auxiliary prime and its odd-power index
 
 A negative alpha, beta, k or m (k and m also index the open statements)
-is a ValueError.  Each identity names the congruence it implies
-(``GfIdentity.implies``), which holds its progression and lemma exponent:
-a cataloged family for nine of them (T11 implies MR1, for one), a record
-of its own that ``catalog()`` does not list for H1, H2, D6, T23 and T311.
+is a ValueError, and so is k = 0 in the open statements, whose towers
+start at k = 1 (``CongruenceCase.k_min``).  Each identity names the
+congruence it implies (``GfIdentity.implies``), which holds its
+progression and lemma exponent: a cataloged family for nine of them (T11
+implies MR1, for one), a record of its own that ``catalog()`` does not
+list for H1, H2, D6, T23 and T311.
 """
 
 from __future__ import annotations
@@ -91,16 +93,25 @@ def _pow3(e: int) -> int:
     return 3**e
 
 
-def _class_base(params, parity_odd: bool) -> int:
-    a = params["alpha"]
-    return _pow3(2 * a + 1) if parity_odd else _pow3(2 * a + 2)
+@dataclass(frozen=True)
+class ResidueClass:
+    """The `ell` of a residue-class case: any ell = +-base mod 3*base,
+    with base = 3^(2 alpha + shift); called on a case's parameters, it
+    returns their ell once it has checked membership."""
+
+    shift: int
+
+    def base(self, alpha: int) -> int:
+        return _pow3(2 * alpha + self.shift)
+
+    def __call__(self, params: dict) -> int:
+        ell, base = params["ell"], self.base(params["alpha"])
+        if ell % (3 * base) not in (base, 2 * base):
+            raise ValueError(f"{ell} is not congruent to +-{base} mod {3 * base}")
+        return ell
 
 
-def _check_class_member(ell: int, base: int) -> int:
-    mod = 3 * base
-    if ell % mod not in (base % mod, (-base) % mod):
-        raise ValueError(f"{ell} is not congruent to +-{base} mod {mod}")
-    return ell
+_ODD_CLASS, _EVEN_CLASS = ResidueClass(1), ResidueClass(2)
 
 
 def class_members(base: int, per_sign: int) -> list[int]:
@@ -126,6 +137,7 @@ class CongruenceCase:
     filter_p: bool = False          # restrict to indices with p not dividing n
     branch: bool = False            # triangular/non-triangular split
     conjecture: bool = False
+    k_min: int = 0                  # the open statements' towers start at k = 1
 
     def instantiate(self, params: dict) -> CaseInstance:
         missing = [k for k in self.param_names if k not in params]
@@ -133,8 +145,9 @@ class CongruenceCase:
             raise ValueError(f"{self.id} needs parameters {missing}")
         params = {k: int(params[k]) for k in self.param_names}
         for name in ("alpha", "beta", "k", "m"):
-            if params.get(name, 0) < 0:
-                raise ValueError(f"{self.id}: {name}={params[name]} must be at least 0")
+            least = self.k_min if name == "k" else 0
+            if params.get(name, least) < least:
+                raise ValueError(f"{self.id}: {name}={params[name]} must be at least {least}")
         if self.prime_class is not None:
             p = params["p"]
             if self.prime_class == "3mod4" and (not is_prime(p) or p % 4 != 3):
@@ -186,39 +199,39 @@ _CASES: list[CongruenceCase] = [
                    lambda P: 16 * _pow3(2 * P["alpha"] + P["beta"] + 1) - _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 3, ("alpha", "beta")),
     # odd residue class
-    CongruenceCase("MR7", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
+    CongruenceCase("MR7", Kind.REGULAR_TRIPLE, _ODD_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell")),
-    CongruenceCase("MR8", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
+    CongruenceCase("MR8", Kind.REGULAR_TRIPLE, _ODD_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
                    lambda P: 11 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 4, ("alpha", "beta", "ell")),
-    CongruenceCase("MR9", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
+    CongruenceCase("MR9", Kind.REGULAR_TRIPLE, _ODD_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
                    lambda P: 19 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 5, ("alpha", "beta", "ell")),
-    CongruenceCase("MR10", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
+    CongruenceCase("MR10", Kind.REGULAR_TRIPLE, _ODD_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 4, ("alpha", "beta", "ell"),
                    branch=True),
-    CongruenceCase("MR11", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
+    CongruenceCase("MR11", Kind.REGULAR_TRIPLE, _ODD_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) * P["p"] ** (2 * P["k"] + 1),
                    lambda P: P["p"] ** (2 * P["k"] + 2) * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2)
                    + 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 4, ("alpha", "beta", "ell", "p", "k"),
                    prime_class="odd", filter_p=True),
     # even residue class
-    CongruenceCase("MR12", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, False)),
+    CongruenceCase("MR12", Kind.REGULAR_TRIPLE, _EVEN_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
                    lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell")),
-    CongruenceCase("MR13", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, False)),
+    CongruenceCase("MR13", Kind.REGULAR_TRIPLE, _EVEN_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
                    lambda P: 13 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 5, ("alpha", "beta", "ell")),
-    CongruenceCase("MR14", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, False)),
+    CongruenceCase("MR14", Kind.REGULAR_TRIPLE, _EVEN_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
                    lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 3) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 6, ("alpha", "beta", "ell")),
@@ -257,19 +270,19 @@ _CASES: list[CongruenceCase] = [
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 4, ("alpha", "beta", "p", "k"),
                    prime_class="3mod4", filter_p=True),
     # two-product, odd residue class
-    CongruenceCase("MR21", Kind.TWO_COLOR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
+    CongruenceCase("MR21", Kind.TWO_COLOR_TRIPLE, _ODD_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
                    lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 2, ("alpha", "beta", "ell")),
-    CongruenceCase("MR22", Kind.TWO_COLOR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
+    CongruenceCase("MR22", Kind.TWO_COLOR_TRIPLE, _ODD_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
                    lambda P: 23 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell")),
-    CongruenceCase("MR23", Kind.TWO_COLOR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
+    CongruenceCase("MR23", Kind.TWO_COLOR_TRIPLE, _ODD_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
                    lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 3, ("alpha", "beta", "ell")),
-    CongruenceCase("MR24", Kind.TWO_COLOR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
+    CongruenceCase("MR24", Kind.TWO_COLOR_TRIPLE, _ODD_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
                    lambda P: 13 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell")),
@@ -310,11 +323,11 @@ _CASES: list[CongruenceCase] = [
     CongruenceCase("BC1", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["k"]),
                    lambda P: _pow3(P["m"] + 2 * P["k"] - 1),
                    lambda P: 8 * _pow3(P["m"] + 2 * P["k"] - 1) - (_pow3(2 * P["k"]) - 1),
-                   lambda P: 3 * P["k"] + 2 * P["m"] - 1, ("k", "m"), conjecture=True),
+                   lambda P: 3 * P["k"] + 2 * P["m"] - 1, ("k", "m"), conjecture=True, k_min=1),
     CongruenceCase("BC2", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["k"] - 1),
                    lambda P: _pow3(2 * P["m"] + 2 * P["k"] - 1),
                    lambda P: 2 * _pow3(2 * P["m"] + 2 * P["k"]) - _pow3(2 * P["k"] - 1) + 1,
-                   lambda P: 3 * P["k"] + 2 * P["m"] - 1, ("k", "m"), conjecture=True),
+                   lambda P: 3 * P["k"] + 2 * P["m"] - 1, ("k", "m"), conjecture=True, k_min=1),
 ]
 
 _CASE_BY_ID = {c.id: c for c in _CASES}
@@ -363,7 +376,7 @@ _UNLISTED = {c.id: c for c in [
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
                    lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 3) + _pow3(2 * P["alpha"] + 2) + 1,
                    lambda P: 3 * P["alpha"] + 2 * P["beta"] + 4, ("alpha", "beta")),
-    CongruenceCase("T311", Kind.REGULAR_TRIPLE, lambda P: _check_class_member(P["ell"], _class_base(P, True)),
+    CongruenceCase("T311", Kind.REGULAR_TRIPLE, _ODD_CLASS,
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
                    lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
                    lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell")),
@@ -544,7 +557,7 @@ def verify_mr10(alpha: int, beta: int, n_max: int, ell: int | None = None,
                 exact_threshold: int = 50_000) -> Report:
     """The two-branch residue-class case; ell defaults to the pure power."""
     if ell is None:
-        ell = _pow3(2 * alpha + 1)
+        ell = _CASE_BY_ID["MR10"].ell.base(alpha)
     return verify_congruence("MR10", {"alpha": alpha, "beta": beta, "ell": ell},
                              n_max, exact_threshold)
 
@@ -792,71 +805,53 @@ class SuiteReport:
         yield '],"status":' + dumps(self.status) + "}\n"
 
 
-def _case_n_max(cfg: SuiteConfig, A: int) -> int:
-    return cfg.n_max_small if A <= cfg.small_A_cutoff else cfg.n_max
+def _grid(cfg: SuiteConfig, case: CongruenceCase) -> tuple[dict, int | None]:
+    """The case's parameter grids by name, and its fixed n_max (None: by A)."""
+    primes = cfg.primes_nonresidue if case.prime_class == "nonresidue-3" else cfg.primes_3mod4
+    if case.conjecture:
+        return {"k": cfg.conjecture_ks, "m": cfg.conjecture_ms}, cfg.conjecture_n_max
+    if "alpha" not in case.param_names:
+        return {"beta": cfg.priors_betas, "p": primes}, cfg.priors_n_max
+    if case.prime_class is not None:
+        return {"alpha": cfg.prime_alphas, "beta": cfg.prime_betas, "p": primes,
+                "k": cfg.prime_ks}, cfg.prime_n_max
+    return {"alpha": cfg.alphas, "beta": cfg.betas}, None
 
 
 def _suite_jobs(cfg: SuiteConfig) -> list[tuple[str, str, dict, dict]]:
-    """Deterministic job list: (kind, id, params, options)."""
+    """Deterministic job list: (kind, id, params, options), read off the catalog.
+
+    A case's record decides its grid.  An open statement (`conjecture`)
+    runs on conjecture_ks x conjecture_ms to conjecture_n_max.  A case
+    without alpha, a published family, runs on priors_betas, with p from
+    primes_3mod4, to priors_n_max.  A prime tower (`prime_class`) runs on
+    prime_alphas x prime_betas x prime_ks, with p from primes_nonresidue
+    for the "nonresidue-3" class and from primes_3mod4 otherwise, to
+    prime_n_max.  Every other case runs on alphas x betas, to n_max_small
+    when A <= small_A_cutoff and to n_max otherwise.  A residue-class ell
+    adds the class_reps_per_sign least members of each sign of its class
+    at each alpha.  An identity runs on the grid of the congruence it
+    implies, in mode "auto" when it takes ell and "exact" otherwise.
+    """
     jobs: list[tuple[str, str, dict, dict]] = []
-
-    def addc(case_id: str, params: dict, n_max: int | None = None):
-        if cfg.include is not None and case_id not in cfg.include:
-            return
-        case = _CASE_BY_ID[case_id]
-        A = case.A({k: int(v) for k, v in params.items()})
-        jobs.append(("congruence", case_id, params,
-                     {"n_max": n_max if n_max is not None else _case_n_max(cfg, A)}))
-
-    def addi(identity_id: str, params: dict, mode: str):
-        if cfg.include is not None and identity_id not in cfg.include:
-            return
-        jobs.append(("identity", identity_id, params, {"mode": mode}))
-
-    grid = [(a, b) for a in cfg.alphas for b in cfg.betas]
-    for a, b in grid:
-        for cid in ("MR1", "MR2", "MR3", "MR5", "MR6", "MR15", "MR17", "MR171", "MR18", "MR19"):
-            addc(cid, {"alpha": a, "beta": b})
-        for ell in class_members(_pow3(2 * a + 1), cfg.class_reps_per_sign):
-            for cid in ("MR7", "MR8", "MR9", "MR10", "MR21", "MR22", "MR23", "MR24"):
-                addc(cid, {"alpha": a, "beta": b, "ell": ell})
-        for ell in class_members(_pow3(2 * a + 2), cfg.class_reps_per_sign):
-            for cid in ("MR12", "MR13", "MR14"):
-                addc(cid, {"alpha": a, "beta": b, "ell": ell})
-    for a in cfg.prime_alphas:
-        for b in cfg.prime_betas:
-            for k in cfg.prime_ks:
-                for p in cfg.primes_3mod4:
-                    addc("MR4", {"alpha": a, "beta": b, "p": p, "k": k}, cfg.prime_n_max)
-                    addc("MR20", {"alpha": a, "beta": b, "p": p, "k": k}, cfg.prime_n_max)
-                    for ell in class_members(_pow3(2 * a + 1), cfg.class_reps_per_sign):
-                        addc("MR11", {"alpha": a, "beta": b, "ell": ell, "p": p, "k": k},
-                             cfg.prime_n_max)
-                for p in cfg.primes_nonresidue:
-                    addc("MR16", {"alpha": a, "beta": b, "p": p, "k": k}, cfg.prime_n_max)
-    for b in cfg.priors_betas:
-        for cid in ("G1", "B1", "B2", "B3", "T1", "T2", "T3"):
-            addc(cid, {"beta": b}, cfg.priors_n_max)
-        for p in cfg.primes_3mod4:
-            addc("B4", {"beta": b, "p": p}, cfg.priors_n_max)
-    for k in cfg.conjecture_ks:
-        for m in cfg.conjecture_ms:
-            addc("BC1", {"k": k, "m": m}, cfg.conjecture_n_max)
-            addc("BC2", {"k": k, "m": m}, cfg.conjecture_n_max)
-
-    for a in cfg.alphas:
-        addi("H1", {"alpha": a}, "exact")
-        addi("H2", {"alpha": a}, "exact")
-        for b in cfg.betas:
-            for iid in ("T11", "D6", "T12", "T21", "T22", "T23"):
-                addi(iid, {"alpha": a, "beta": b}, "exact")
-            for iid in ("T24", "T25", "T31", "T311"):
-                for ell in class_members(_pow3(2 * a + 1), cfg.class_reps_per_sign):
-                    addi(iid, {"alpha": a, "beta": b, "ell": ell}, "auto")
-            for iid in ("T32", "T321"):
-                for ell in class_members(_pow3(2 * a + 2), cfg.class_reps_per_sign):
-                    addi(iid, {"alpha": a, "beta": b, "ell": ell}, "auto")
-
+    records = [("congruence", c, c) for c in _CASES] + [("identity", i, i.implies) for i in _IDENTITIES]
+    for kind, record, case in records:
+        if cfg.include is not None and record.id not in cfg.include:
+            continue
+        grids, n_max = _grid(cfg, case)
+        points = [{}]
+        for name in case.param_names:
+            points = [P | {name: v} for P in points for v in (
+                class_members(case.ell.base(P["alpha"]), cfg.class_reps_per_sign)
+                if name == "ell" else grids[name])]
+        for P in points:
+            if kind == "identity":
+                opts = {"mode": "auto" if "ell" in P else "exact"}
+            elif n_max is None:
+                opts = {"n_max": cfg.n_max_small if case.A(P) <= cfg.small_A_cutoff else cfg.n_max}
+            else:
+                opts = {"n_max": n_max}
+            jobs.append((kind, record.id, P, opts))
     jobs.sort(key=lambda j: (j[0], j[1], json.dumps(j[2], sort_keys=True)))
     return jobs
 

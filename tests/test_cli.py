@@ -121,6 +121,12 @@ class TestVerify:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.endswith("=-1 must be at least 0\n")
 
+    @pytest.mark.parametrize("case_id", ["BC1", "BC2"])
+    def test_open_statement_k_0_exit_2(self, capsys, case_id):
+        code, out, err = run_cli(capsys, "verify", "congruence", "--case", case_id,
+                                 "--k", "0", "--m", "1", "--nmax", "20")
+        assert (code, out, err) == (2, "", f"error: {case_id}: k=0 must be at least 1\n")
+
     def test_identity_missing_parameter_names_identity(self, capsys):
         code, out, err = run_cli(capsys, "verify", "identity", "--id", "T11", "--alpha", "0")
         assert (code, out, err) == (2, "", "error: T11 needs parameters ['beta']\n")

@@ -114,8 +114,6 @@ class TestInstantiate:
 
     def test_negative_power_of_three_rejected(self):
         with pytest.raises(ValueError, match=r"3\^-1"):
-            instantiate("BC2", {"k": 0, "m": 0})
-        with pytest.raises(ValueError, match=r"3\^-1"):
             run_suite(SuiteConfig(**dict(TestSuite.CFG, alphas=(-1,))))
 
 
