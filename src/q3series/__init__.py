@@ -3,8 +3,8 @@ colored partition triple counting functions."""
 
 from .series import TruncatedSeries
 from .eta import EtaQuotientSpec, euler_series, eta_quotient, jacobi_cube, p_cap_series
-from .arith3 import Valuation3, pi3, series_min_valuation3
-from .hmatrix import MTable, check_h_lemma, check_p0, huff, m_entry
+from .arith3 import pi3, series_min_valuation3
+from .hmatrix import MTable, check_h_lemma, huff, m_entry
 from .vectors import CoeffVector, Family, check_valuation_bounds, family_vector, valuation_bound, x_vector
 from .counts import CountingFunction, Kind, count_series, enumerate_count
 from .verifier import (SuiteConfig, catalog, instantiate, run_suite,
@@ -12,8 +12,8 @@ from .verifier import (SuiteConfig, catalog, instantiate, run_suite,
 
 __all__ = [
     "TruncatedSeries", "EtaQuotientSpec", "euler_series", "eta_quotient",
-    "jacobi_cube", "p_cap_series", "Valuation3", "pi3", "series_min_valuation3",
-    "MTable", "check_h_lemma", "check_p0", "huff", "m_entry",
+    "jacobi_cube", "p_cap_series", "pi3", "series_min_valuation3",
+    "MTable", "check_h_lemma", "huff", "m_entry",
     "CoeffVector", "Family", "check_valuation_bounds", "family_vector",
     "valuation_bound", "x_vector", "CountingFunction", "Kind", "count_series",
     "enumerate_count", "SuiteConfig", "catalog", "instantiate", "run_suite",

@@ -92,7 +92,7 @@ def _cmd_vector(args) -> int:
         entries.append({
             "j": j,
             "value": str(v),
-            "valuation": None if v == 0 else pi3(v).value,
+            "valuation": pi3(v),
             "bound": valuation_bound(family, args.alpha, args.mu, j),
         })
     _emit_json({"family": family.value, "alpha": args.alpha, "mu": args.mu,

@@ -81,6 +81,14 @@ def huff(a: TruncatedSeries) -> TruncatedSeries:
     return a.extract_progression(3, 0, rescale=False)
 
 
+def _lhs(qpow: int, num: int, den: int) -> EtaQuotientSpec:  # q^qpow E(q^3)^num / E(q)^den
+    return EtaQuotientSpec(qpow, ((3, num), (1, -den)))
+
+
+def _rhs(qpow: int, num: int, den: int) -> EtaQuotientSpec:  # q^qpow E(q^9)^num / E(q^3)^den
+    return EtaQuotientSpec(qpow, ((9, num), (3, -den)))
+
+
 def inv_zeta_power(i: int, order: int) -> TruncatedSeries:
     """(1/zeta)^i = q^i * E(q^9)^{3i} / E(q)^{3i}, valuation i."""
     return eta_quotient(EtaQuotientSpec(i, ((9, 3 * i), (1, -3 * i))), order)
@@ -91,54 +99,43 @@ def inv_t_power(j: int, order: int) -> TruncatedSeries:
     return eta_quotient(EtaQuotientSpec(3 * j, ((9, 12 * j), (3, -12 * j))), order)
 
 
-def check_p0(i: int, order: int) -> bool:
-    """Verify huff((1/zeta)^i) = sum_j m(i,j) * (1/T)^j below `order`.
-
-    The j-th term has valuation 3j, so the sum is truncated at
-    J = order // 3 + 1; later terms cannot touch the window.
-    """
-    if order < 3:
-        raise ValueError("window too small to see any term")
-    lhs = huff(inv_zeta_power(i, order))
-    jmax = order // 3 + 1
-    rhs = TruncatedSeries.zero(order)
-    for j in range(1, jmax + 1):
-        c = m_entry(i, j)
-        if c and 3 * j < order:
-            rhs = rhs.add(inv_t_power(j, order).scale(c))
-    return lhs.agrees_with(rhs, upto=order)
-
-
-# Each structural identity: huff of one quotient shape equals an m-weighted
-# sum of another.  Rows give (lhs q-power, lhs numerator/denominator
-# exponents at scale 3 and 1) and (m row, m column offset, rhs q-power
-# slope, rhs numerator/denominator exponents at scale 9 and 3).
+# Each structural identity: huff of one quotient equals an m-weighted sum of
+# others.  A row gives the left side at i, the m-table index of term j, and
+# the right-hand quotient of term j.  P0 is huff((1/zeta)^i) =
+# sum_j m(i,j) (1/T)^j, the identity that defines the table.
 _H_LEMMA = {
-    "P3": (lambda i: (i - 3, 12 * i, 12 * i),
-           lambda i, j: (4 * i, i + j), lambda j: (3 * j - 3, 12 * j, 12 * j)),
-    "P4": (lambda i: (i - 2, 12 * i - 3, 12 * i + 3),
-           lambda i, j: (4 * i + 1, i + j), lambda j: (3 * j - 3, 12 * j - 3, 12 * j + 3)),
-    "P1": (lambda i: (i - 3, 12 * i - 9, 12 * i - 9),
-           lambda i, j: (4 * i - 3, i + j - 1), lambda j: (3 * j - 3, 12 * j - 3, 12 * j - 3)),
-    "P2": (lambda i: (i - 1, 12 * i - 3, 12 * i - 3),
-           lambda i, j: (4 * i - 1, i + j - 1), lambda j: (3 * j - 3, 12 * j - 9, 12 * j - 9)),
-    "P5": (lambda i: (i - 1, 12 * i, 12 * i + 6),
-           lambda i, j: (4 * i + 2, i + j), lambda j: (3 * j - 3, 12 * j - 6, 12 * j)),
+    "P0": (lambda i: EtaQuotientSpec(i, ((9, 3 * i), (1, -3 * i))),
+           lambda i, j: (i, j), lambda j: _rhs(3 * j, 12 * j, 12 * j)),
+    "P3": (lambda i: _lhs(i - 3, 12 * i, 12 * i),
+           lambda i, j: (4 * i, i + j), lambda j: _rhs(3 * j - 3, 12 * j, 12 * j)),
+    "P4": (lambda i: _lhs(i - 2, 12 * i - 3, 12 * i + 3),
+           lambda i, j: (4 * i + 1, i + j), lambda j: _rhs(3 * j - 3, 12 * j - 3, 12 * j + 3)),
+    "P1": (lambda i: _lhs(i - 3, 12 * i - 9, 12 * i - 9),
+           lambda i, j: (4 * i - 3, i + j - 1), lambda j: _rhs(3 * j - 3, 12 * j - 3, 12 * j - 3)),
+    "P2": (lambda i: _lhs(i - 1, 12 * i - 3, 12 * i - 3),
+           lambda i, j: (4 * i - 1, i + j - 1), lambda j: _rhs(3 * j - 3, 12 * j - 9, 12 * j - 9)),
+    "P5": (lambda i: _lhs(i - 1, 12 * i, 12 * i + 6),
+           lambda i, j: (4 * i + 2, i + j), lambda j: _rhs(3 * j - 3, 12 * j - 6, 12 * j)),
 }
 
 
 def check_h_lemma(variant: str, i: int, order: int) -> bool:
-    """Numerically verify one of the five huffing dissection identities."""
+    """Numerically verify one of the six huffing identities below `order`.
+
+    The power of q of right-hand term j grows with j, so the sum stops at
+    the first term the window cannot see; a window that sees no term at
+    all is a ValueError.
+    """
     if variant not in _H_LEMMA:
         raise ValueError(f"unknown variant {variant!r}; expected one of {sorted(_H_LEMMA)}")
-    lhs_shape, m_index, rhs_shape = _H_LEMMA[variant]
-    qpow, num, den = lhs_shape(i)
-    lhs = huff(eta_quotient(EtaQuotientSpec(qpow, ((3, num), (1, -den))), order))
+    lhs, m_index, rhs_term = _H_LEMMA[variant]
+    if rhs_term(1).power_of_q >= order:
+        raise ValueError(f"a window below q^{order} sees no right-hand term of {variant}")
     rhs = TruncatedSeries.zero(order)
-    jmax = order // 3 + 2
-    for j in range(1, jmax + 1):
+    j = 1
+    while (spec := rhs_term(j)).power_of_q < order:
         c = m_entry(*m_index(i, j))
-        shift, rnum, rden = rhs_shape(j)
-        if c and shift < order:
-            rhs = rhs.add(eta_quotient(EtaQuotientSpec(shift, ((9, rnum), (3, -rden))), order).scale(c))
-    return lhs.agrees_with(rhs, upto=order)
+        if c:
+            rhs = rhs.add(eta_quotient(spec, order).scale(c))
+        j += 1
+    return huff(eta_quotient(lhs(i), order)).agrees_with(rhs, upto=order)

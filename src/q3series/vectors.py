@@ -112,8 +112,8 @@ def bound_violations(values, family: Family, alpha: int, mu: int, first_j: int =
         j = first_j + k
         need = valuation_bound(family, alpha, mu, j)
         actual = pi3(v)
-        if actual < max(need, 0):
-            out.append({"j": j, "value": v, "valuation": actual.value, "required": need})
+        if actual is not None and actual < need:
+            out.append({"j": j, "value": v, "valuation": actual, "required": need})
     return out
 
 

@@ -437,14 +437,6 @@ def _identity_exact(prog: Progression, terms: int, mode: str, exact_order_cap: i
     return mode == "exact" or (mode == "auto" and prog.index(terms - 1) < exact_order_cap)
 
 
-def _read(fn: CountingFunction, prog: Progression, ns, exact: bool) -> tuple[list[int], bool]:
-    """(coefficients of fn at A*n + B for n in ns, capped?).
-
-    Capped values come from the reduced engine: residues mod 3^_RESIDUE_CAP.
-    """
-    return values_at(fn, [prog.index(n) for n in ns], exact), not exact
-
-
 def _scan(deviations: list[int], capped: bool) -> tuple[list[int | None], int | None, bool]:
     """(valuations, holds, hit_cap) of the deviations from a claim.
 
@@ -456,7 +448,7 @@ def _scan(deviations: list[int], capped: bool) -> tuple[list[int | None], int | 
     """
     if capped:
         deviations = [d % 3**_RESIDUE_CAP for d in deviations]
-    valuations = [pi3(d).value for d in deviations]
+    valuations = [pi3(d) for d in deviations]
     finite = [v for v in valuations if v is not None]
     hit_cap = capped and bool(deviations) and not finite
     return valuations, min(finite, default=_RESIDUE_CAP if hit_cap else None), hit_cap
@@ -501,16 +493,16 @@ def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Rep
     """The congruence check of `verify_congruence`, on a resolved instance."""
     exact = inst.progression.index(n_max) < exact_threshold
     ns = [n for n in range(n_max + 1) if inst.n_filter is None or inst.n_filter(n)]
-    values, capped = _read(inst.fn, inst.progression, ns, exact)
+    values = values_at(inst.fn, map(inst.progression.index, ns), exact)
     rep = Report(case=inst.case, params=dict(inst.params) | {"n_max": n_max}, checked=len(ns))
     if inst.branch:
-        return _verify_branch_case(inst, rep, values, capped)
-    valuations, holds, hit_cap = _scan(values, capped)
+        return _verify_branch_case(inst, rep, values, exact)
+    valuations, holds, hit_cap = _scan(values, not exact)
     rep.failures = [{"n": n, "value": str(v), "valuation": val, "required": inst.exponent}
                     for n, v, val in zip(ns, values, valuations)
                     if val is not None and val < inst.exponent]
     rep.extras = _extras(inst.fn, inst.progression, modulus_exponent=inst.exponent,
-                         engine=_REDUCED_ENGINE if capped else "exact",
+                         engine="exact" if exact else _REDUCED_ENGINE,
                          holds_to_exponent=holds, exponent_capped=hit_cap)
     if inst.conjecture:
         rep.extras["conjecture"] = True
@@ -526,7 +518,7 @@ def _triangular_index(n: int) -> int | None:
     return None
 
 
-def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], capped: bool) -> Report:
+def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], exact: bool) -> Report:
     """Two-branch check of values at n = 0, 1, ...: on triangular n the
     coefficient must follow c * (-1)^n (2n+1) for one constant c fitted
     at n = 0, elsewhere vanish.
@@ -540,13 +532,13 @@ def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], capp
     const = values[0] if values else None
     wants = [const * (2 * n + 1) * (-1 if n % 2 else 1) if _triangular_index(n) is not None else 0
              for n in range(len(values))]
-    valuations, holds, hit_cap = _scan([v - w for v, w in zip(values, wants)], capped)
+    valuations, holds, hit_cap = _scan([v - w for v, w in zip(values, wants)], not exact)
     rep.failures = [{"n": n, "value": str(v % mod), "expected": str(w % mod),
                      "valuation": val, "required": inst.exponent}
                     for n, (v, w, val) in enumerate(zip(values, wants, valuations))
                     if val is not None and val < inst.exponent]
     rep.extras = _extras(inst.fn, inst.progression, modulus_exponent=inst.exponent,
-                         engine=_REDUCED_ENGINE if capped else "exact",
+                         engine="exact" if exact else _REDUCED_ENGINE,
                          fitted_constant=None if const is None else str(const % mod),
                          plain_branch_holds=None if const is None else const % mod == 1,
                          branch_holds_to_exponent=holds, exponent_capped=hit_cap)
@@ -638,8 +630,8 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     rep = Report(case=identity_id, params=dict(params) | {"terms": terms, "mode": mode},
                  checked=terms)
     rhs = _rhs_window(identity, identity.level(params), params["alpha"], terms)
-    lhs, capped = _read(fn, prog, range(terms), exact)
-    valuations, diff_min, hit_cap = _scan([a - b for a, b in zip(lhs, rhs)], capped)
+    lhs = values_at(fn, map(prog.index, range(terms)), exact)
+    valuations, diff_min, hit_cap = _scan([a - b for a, b in zip(lhs, rhs)], not exact)
     exact_equal = lhs == rhs if exact else None
     mod_ok = None
     if mode != "exact":
@@ -673,7 +665,7 @@ def probe_seed_reading(identity_id: str, alpha: int, terms: int = 20) -> dict:
         raise ValueError("the seed question concerns T12 and T22 only")
     identity, inst = _identity_instance(identity_id, {"alpha": alpha, "beta": 0})
     assert identity.level(inst.params) == 1
-    lhs, _ = _read(inst.fn, inst.progression, range(terms), True)
+    lhs = values_at(inst.fn, map(inst.progression.index, range(terms)), True)
     verdict = {}
     for label, k in (("odd_base_seed", 2 * alpha + 1), ("even_base_seed", 2 * alpha + 2)):
         vec = x_vector(k, terms + 1)
@@ -709,7 +701,13 @@ _DEPTH_GRIDS = frozenset({"alphas", "betas", "prime_alphas", "prime_betas", "pri
 
 @dataclass
 class SuiteConfig:
-    """Parameter grids for a full catalog run; ships as data/suite_default.json."""
+    """Parameter grids for a full catalog run; ships as data/suite_default.json.
+
+    Construction checks every field, a ValueError naming a malformed one.
+    Grids are lists or tuples (stored as tuples) of integers, those of
+    alpha, beta, k and m values from 0; `include` is None or catalog ids;
+    every other field is an integer.
+    """
 
     alphas: tuple[int, ...] = (0, 1)
     betas: tuple[int, ...] = (0, 1)
@@ -733,38 +731,42 @@ class SuiteConfig:
     conjecture_n_max: int = 50
     include: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                want, ok = "a list of integers", isinstance(v, (list, tuple)) and all(map(_is_int, v))
+                if ok and f.name in _DEPTH_GRIDS:
+                    want, ok = "a list of integers from 0", min(v, default=0) >= 0
+            elif f.default is None:
+                want, ok = "null or a list of strings", v is None or (
+                    isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v))
+            else:
+                want, ok = "an integer", _is_int(v)
+            if not ok:
+                raise ValueError(f"suite config field {f.name!r} must be {want}, not {v!r}")
+            if isinstance(v, list):
+                setattr(self, f.name, tuple(v))
+        unknown = sorted(set(self.include or ()) - _CASE_BY_ID.keys() - _IDENTITY_BY_ID.keys())
+        if unknown:
+            raise ValueError(f"suite config field 'include' names ids not in the catalog: {unknown}")
+
     @classmethod
     def from_json(cls, text: str) -> "SuiteConfig":
         """Parse a config; a malformed one is a ValueError naming the field.
 
-        Grids are lists of integers, those of alpha, beta, k and m values
-        from 0; `include` is null or a list of catalog ids; every other
-        field is an integer.  A "threads" integer, which older configs
-        carry, is accepted and ignored: the suite runs serially.
+        A "threads" integer, which older configs carry, is accepted and
+        ignored: the suite runs serially.
         """
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("a suite config must be a JSON object")
-        defaults = {f.name: f.default for f in fields(cls)} | {"threads": 1}
-        unknown = set(raw) - set(defaults)
+        unknown = set(raw) - {f.name for f in fields(cls)} - {"threads"}
         if unknown:
             raise ValueError(f"unknown suite config keys: {sorted(unknown)}")
-        for name, v in raw.items():
-            if isinstance(defaults[name], tuple):
-                want, ok = "a list of integers", isinstance(v, list) and all(map(_is_int, v))
-                if ok and name in _DEPTH_GRIDS:
-                    want, ok = "a list of integers from 0", min(v, default=0) >= 0
-            elif defaults[name] is None:
-                want, ok = "null or a list of strings", v is None or (
-                    isinstance(v, list) and all(isinstance(x, str) for x in v))
-            else:
-                want, ok = "an integer", _is_int(v)
-            if not ok:
-                raise ValueError(f"suite config field {name!r} must be {want}, not {v!r}")
-        unknown = sorted(set(raw.get("include") or ()) - _CASE_BY_ID.keys() - _IDENTITY_BY_ID.keys())
-        if unknown:
-            raise ValueError(f"suite config field 'include' names ids not in the catalog: {unknown}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items() if k != "threads"})
+        if not _is_int(raw.pop("threads", 1)):
+            raise ValueError("suite config field 'threads' must be an integer")
+        return cls(**raw)
 
     def to_json(self) -> str:
         out = {}
@@ -780,12 +782,12 @@ class SuiteReport:
     status: str = SKIPPED
 
     def finalize(self) -> "SuiteReport":
+        """FAIL on any error report (a job its case refused) and on any failed
+        report but an open statement's; else PASS if one of the latter ran."""
         gating = [r for r in self.reports if not r.extras.get("conjecture")]
-        ran = [r for r in gating if r.status != SKIPPED]
-        if not ran:
-            self.status = SKIPPED
-        else:
-            self.status = FAIL if any(r.status == FAIL for r in ran) else PASS
+        failed = any("error" in r.extras for r in self.reports) or any(r.status == FAIL for r in gating)
+        ran = any(r.status != SKIPPED for r in gating)
+        self.status = FAIL if failed else PASS if ran else SKIPPED
         return self
 
     def by_case(self, case_id: str) -> list[Report]:

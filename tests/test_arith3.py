@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from q3series.arith3 import (INFINITE, Valuation3, is_prime, legendre, pi3,
-                             series_min_valuation3)
+from q3series.arith3 import is_prime, legendre, pi3, series_min_valuation3
 from q3series.series import TruncatedSeries
 
 
@@ -16,14 +15,10 @@ class TestPi3:
         assert pi3(-27) == 3
 
     def test_zero_is_infinite(self):
-        assert pi3(0).is_infinite
-        assert pi3(0) == INFINITE
-        assert pi3(0) > 10**9
-
-    def test_ordering(self):
-        assert Valuation3(2) < Valuation3(3) < INFINITE
-        assert Valuation3(5) >= 5
-        assert not (INFINITE < INFINITE)
+        # the infinite valuation of 0 is None, which orders against no int
+        assert pi3(0) is None
+        with pytest.raises(TypeError):
+            pi3(0) >= 5
 
 
 class TestSeriesMinValuation:
@@ -32,7 +27,9 @@ class TestSeriesMinValuation:
         assert series_min_valuation3(s, 3) == 2
 
     def test_zero_series(self):
-        assert series_min_valuation3(TruncatedSeries.zero(5), 5).is_infinite
+        assert series_min_valuation3(TruncatedSeries.zero(5), 5) is None
+        # zeros are skipped, not taken as the least valuation
+        assert series_min_valuation3(TruncatedSeries.from_terms([(1, 27), (3, 18)], 4), 4) == 2
 
     def test_extracted_progression(self):
         # the three-color counts on 3n+2 are all divisible by 9, not 27

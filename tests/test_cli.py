@@ -70,10 +70,12 @@ class TestMTable:
 class TestVector:
     def test_json_with_valuations(self, capsys):
         code, out, _ = run_cli(capsys, "vector", "--family", "r", "--alpha", "0",
-                               "--mu", "2", "--jmax", "2")
+                               "--mu", "2", "--jmax", "8")
         data = json.loads(out)
         assert code == 0
         assert data["entries"][0] == {"j": 1, "value": "9", "valuation": 2, "bound": 2}
+        # beyond the support the entries vanish: their valuation is null, not a number
+        assert data["entries"][3] == {"j": 4, "value": "0", "valuation": None, "bound": 15}
 
 
 class TestVerify:
@@ -164,6 +166,14 @@ class TestVerify:
         assert run_cli(capsys, "verify", "suite", "--config", str(flagged)) == serial
         assert serial[2] == ""
 
+    def test_suite_error_report_exits_1(self, tmp_path, capsys):
+        # MR4 refuses p = 5; the refusal fails the suite though MR1 passes
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"primes_3mod4": [5], "include": ["MR4", "MR1"], "n_max": 10,
+                                    "n_max_small": 10, "prime_n_max": 10}))
+        code, out, _ = run_cli(capsys, "verify", "suite", "--config", str(path), "--format", "text")
+        assert code == 1 and out.endswith("overall: FAIL\n")
+
 
 class TestSuiteConfigErrors:
     @pytest.mark.parametrize("doc", [
@@ -246,3 +256,9 @@ def test_byte_identical_reruns():
     a = subprocess.run(cmd, capture_output=True, env=env)
     b = subprocess.run(cmd, capture_output=True, env=env)
     assert a.stdout == b.stdout and a.returncode == b.returncode == 0
+
+
+def test_package_exports_resolve():
+    # a name left in __all__ after its object is gone would break `import *`
+    missing = [name for name in q3series.__all__ if not hasattr(q3series, name)]
+    assert missing == []

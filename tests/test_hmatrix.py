@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from q3series.arith3 import pi3
-from q3series.hmatrix import (MTable, check_h_lemma, check_p0, huff, inv_t_power,
-                              inv_zeta_power, m_entry, pmij_bound)
+from q3series.hmatrix import (MTable, check_h_lemma, huff, inv_t_power, inv_zeta_power,
+                              m_entry, pmij_bound)
 from q3series.series import TruncatedSeries
 
 # the five displayed seed rows, all 25 entries
@@ -80,7 +80,8 @@ class TestTable:
     def test_valuation_floor(self):
         for i in range(1, 41):
             for j in range(1, 15):
-                assert pi3(m_entry(i, j)) >= max(pmij_bound(i, j), 0), (i, j)
+                m = m_entry(i, j)
+                assert m == 0 or pi3(m) >= pmij_bound(i, j), (i, j)
 
     def test_concurrent_fills_deterministic(self):
         # threads racing to grow one table must append each column once
@@ -131,7 +132,7 @@ class TestHuff:
 class TestP0:
     @pytest.mark.parametrize("i", [1, 2, 3, 4, 5])
     def test_holds(self, i):
-        assert check_p0(i, 45)
+        assert check_h_lemma("P0", i, 45)
 
     def test_wrong_leading_coefficient_detected(self):
         # same comparison with 8/T instead of 9/T must disagree
@@ -140,8 +141,12 @@ class TestP0:
         assert not lhs.agrees_with(inv_t_power(1, order).scale(8), upto=order)
 
     def test_window_guard(self):
-        with pytest.raises(ValueError):
-            check_p0(1, 2)
+        # the first right-hand term is 9 q^3 / ...: a window below q^3 sees none
+        with pytest.raises(ValueError, match="sees no right-hand term"):
+            check_h_lemma("P0", 1, 3)
+        assert check_h_lemma("P0", 1, 4)
+        with pytest.raises(ValueError, match="sees no right-hand term"):
+            check_h_lemma("P3", 1, 0)
 
 
 class TestHLemma:

@@ -193,6 +193,7 @@ class TestBoundChecks:
         tampered = (good[0] // 3,) + good[1:]
         bad = bound_violations(tampered, Family.R, 0, 2)
         assert bad and bad[0]["j"] == 1 and bad[0]["required"] == 2
+        assert type(bad[0]["valuation"]) is int and bad[0]["valuation"] == 1
 
     def test_constructor_asserts(self):
         from q3series.vectors import CoeffVector

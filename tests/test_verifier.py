@@ -113,8 +113,9 @@ class TestInstantiate:
             instantiate(case_id, params)
 
     def test_negative_power_of_three_rejected(self):
-        with pytest.raises(ValueError, match=r"3\^-1"):
-            run_suite(SuiteConfig(**dict(TestSuite.CFG, alphas=(-1,))))
+        # a grid that would write 3^-1 as an ell is refused at construction
+        with pytest.raises(ValueError, match="field 'alphas' must be a list of integers from 0"):
+            SuiteConfig(**dict(TestSuite.CFG, alphas=(-1,)))
 
 
 def _p3(e):
@@ -514,9 +515,42 @@ class TestSuite:
         assert suite.status == PASS
 
     def test_empty_grid_skips(self):
-        for include in (("nothing",), ()):
-            suite = run_suite(SuiteConfig(**dict(self.CFG, include=include)))
-            assert suite.status == SKIPPED and not suite.reports
+        suite = run_suite(SuiteConfig(**dict(self.CFG, include=())))
+        assert suite.status == SKIPPED and not suite.reports
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("include", ("MR1x",), r"'include' names ids not in the catalog: \['MR1x'\]"),
+        ("include", "MR171", "'include' must be null or a list of strings"),
+        ("prime_ks", (0, -1), "'prime_ks' must be a list of integers from 0"),
+        ("betas", (0, True), "'betas' must be a list of integers"),
+        ("n_max", 10.5, "'n_max' must be an integer"),
+    ])
+    def test_config_checked_at_construction(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SuiteConfig(**{field: value})
+
+    def test_config_lists_stored_as_tuples(self):
+        cfg = SuiteConfig(alphas=[0, 2], include=["MR1"])
+        assert cfg == SuiteConfig(alphas=(0, 2), include=("MR1",))
+        assert type(cfg.alphas) is tuple and type(cfg.include) is tuple
+
+    def test_error_report_fails_suite(self):
+        # MR4 refuses p = 5 (not 3 mod 4); its error report must not read as a pass
+        cfg = SuiteConfig.from_json('{"primes_3mod4": [5], "include": ["MR4", "MR1"], '
+                                    '"n_max": 10, "n_max_small": 10, "prime_n_max": 10}')
+        suite = run_suite(cfg)
+        errors = [r for r in suite.reports if "error" in r.extras]
+        assert errors and all(r.status == SKIPPED for r in errors)
+        assert all(r.status == PASS for r in suite.by_case("MR1"))
+        assert suite.status == FAIL
+
+    def test_conjecture_error_report_fails_suite(self):
+        # an error gates the suite even where a failed check would not (an open statement)
+        job = ("congruence", "BC1", {"k": 0, "m": 0}, {"n_max": 5})
+        passing = verify_congruence("MR1", {"alpha": 0, "beta": 0}, 10)
+        suite = SuiteReport([passing, verifier._error_report(job, ValueError("k=0"))]).finalize()
+        assert suite.status == FAIL
+        assert SuiteReport([passing]).finalize().status == PASS
 
     def test_config_roundtrip(self):
         cfg = SuiteConfig(**self.CFG)
