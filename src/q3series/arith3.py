@@ -7,8 +7,6 @@ ordering None against an int raises TypeError, never a silent answer.
 
 from __future__ import annotations
 
-from .series import TruncatedSeries
-
 
 def pi3(n: int) -> int | None:
     """Largest e with 3**e dividing n; None for n = 0."""
@@ -20,21 +18,6 @@ def pi3(n: int) -> int | None:
         n //= 3
         e += 1
     return e
-
-
-def series_min_valuation3(a: TruncatedSeries, upto: int) -> int | None:
-    """Minimum 3-adic valuation over coefficients at exponents below `upto`;
-    None when all of them are zero."""
-    if upto > a.order:
-        raise ValueError("cannot inspect beyond the truncation order")
-    best = None
-    for e in range(a.offset, upto):
-        v = pi3(a.coeffs[e - a.offset])
-        if v is not None and (best is None or v < best):
-            best = v
-            if best == 0:
-                break
-    return best
 
 
 def is_prime(n: int) -> bool:

@@ -14,7 +14,7 @@ import sys
 from collections.abc import Iterator
 from importlib import resources
 
-from .counts import CountingFunction, Kind, count_series
+from .counts import CountingFunction, Kind, count_values
 from .eta import EtaQuotientSpec, eta_quotient
 from .hmatrix import m_entry
 from .report import FAIL, PASS, dumps
@@ -32,15 +32,11 @@ def _emit_json(obj) -> None:
         write(piece)
 
 
-def _coeff_str(series, lo, hi) -> list[str]:
-    return [str(series.coeff(e)) for e in range(lo, hi)]
-
-
 def _cmd_expand(args) -> int:
     spec = EtaQuotientSpec.parse(args.spec)
     series = eta_quotient(spec, args.order)
     lo = series.offset if series.offset < 0 else 0
-    values = _coeff_str(series, lo, args.order)
+    values = [str(series.coeff(e)) for e in range(lo, args.order)]
     if args.format == "csv":
         sys.stdout.write(",".join(values) + "\n")
     elif args.format == "json":
@@ -60,8 +56,7 @@ def _cmd_count(args) -> int:
     fn = CountingFunction(kind, args.ell if kind is not Kind.P3 else None)
     if not 0 <= args.nmin <= args.nmax:
         raise ValueError("need 0 <= nmin <= nmax")
-    series = count_series(fn, args.nmax + 1)
-    values = _coeff_str(series, args.nmin, args.nmax + 1)
+    values = [str(v) for v in count_values(fn, args.nmax + 1)[args.nmin:]]
     if args.format == "csv":
         sys.stdout.write(",".join(values) + "\n")
     elif args.format == "json":

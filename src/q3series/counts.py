@@ -26,7 +26,7 @@ import numpy as np
 
 from . import modseries
 from .eta import jacobi_cube_terms
-from .series import TruncatedSeries, extend_monic_sparse, mul_sparse, solve_monic_sparse
+from .series import extend_monic_sparse, mul_sparse, solve_monic_sparse
 
 
 class Kind(Enum):
@@ -94,11 +94,6 @@ def count_values(fn: CountingFunction, order: int) -> list[int]:
     if order < 1:
         raise ValueError("order must be >= 1")
     return _expand(fn, _base(order, True)[:order], order, mul_sparse, solve_monic_sparse)
-
-
-def count_series(fn: CountingFunction, order: int) -> TruncatedSeries:
-    """Exact truncated series of the counting function."""
-    return TruncatedSeries(0, count_values(fn, order), order)
 
 
 def count_values_mod(fn: CountingFunction, order: int) -> np.ndarray:

@@ -56,9 +56,6 @@ class MTable:
                                     for c, b, a in zip(padded, padded[1:], padded[2:])])
         return columns[j - 1][i - j]
 
-    def block(self, imax: int, jmax: int) -> list[list[int]]:
-        return [[self.entry(i, j) for j in range(1, jmax + 1)] for i in range(1, imax + 1)]
-
 
 _TABLE = MTable()
 

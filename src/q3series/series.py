@@ -109,9 +109,6 @@ class TruncatedSeries:
 
     # -- ring operations ----------------------------------------------
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.offset, [-c for c in self.coeffs], self.order)
-
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
         offset = min(self.offset, other.offset)
@@ -121,9 +118,6 @@ class TruncatedSeries:
             for e in range(s.offset, hi):
                 coeffs[e - offset] += s.coeffs[e - s.offset]
         return TruncatedSeries(offset, coeffs, order)
-
-    def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self.add(-other)
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         offset = self.offset + other.offset
@@ -143,10 +137,6 @@ class TruncatedSeries:
 
     def scale(self, k: int) -> "TruncatedSeries":
         return TruncatedSeries(self.offset, [k * c for c in self.coeffs], self.order)
-
-    def shift(self, s: int) -> "TruncatedSeries":
-        """Multiply by q**s."""
-        return TruncatedSeries(self.offset + s, self.coeffs, self.order + s)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; the leading coefficient must be a unit (+-1).
@@ -183,7 +173,6 @@ class TruncatedSeries:
         return result
 
     __add__ = add
-    __sub__ = sub
     __mul__ = mul
     __pow__ = pow
 

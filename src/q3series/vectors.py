@@ -105,11 +105,10 @@ def valuation_bound(family: Family, alpha: int, mu: int, j: int) -> int:
     return 3 * alpha + f + (9 * j - 10) // 2 + (1 if j == 1 else 0)
 
 
-def bound_violations(values, family: Family, alpha: int, mu: int, first_j: int = 1):
-    """Entries whose 3-adic valuation misses the stated lower bound."""
+def bound_violations(values, family: Family, alpha: int, mu: int):
+    """Entries 1, 2, ... whose 3-adic valuation misses the stated lower bound."""
     out = []
-    for k, v in enumerate(values):
-        j = first_j + k
+    for j, v in enumerate(values, start=1):
         need = valuation_bound(family, alpha, mu, j)
         actual = pi3(v)
         if actual is not None and actual < need:

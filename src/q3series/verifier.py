@@ -430,13 +430,6 @@ _REDUCED_ENGINE = f"reduced(3^{STANDARD_EXPONENT})"
 IDENTITY_MODES = ("exact", "mod", "auto")
 
 
-def _identity_exact(prog: Progression, terms: int, mode: str, exact_order_cap: int) -> bool:
-    """Whether an identity check reads the exact engine."""
-    if mode not in IDENTITY_MODES:
-        raise ValueError(f"unknown identity mode {mode!r}; expected one of {IDENTITY_MODES}")
-    return mode == "exact" or (mode == "auto" and prog.index(terms - 1) < exact_order_cap)
-
-
 def _scan(deviations: list[int], capped: bool) -> tuple[list[int | None], int | None, bool]:
     """(valuations, holds, hit_cap) of the deviations from a claim.
 
@@ -545,15 +538,6 @@ def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], exac
     return _settle(rep, hit_cap, inst.exponent)
 
 
-def verify_mr10(alpha: int, beta: int, n_max: int, ell: int | None = None,
-                exact_threshold: int = 50_000) -> Report:
-    """The two-branch residue-class case; ell defaults to the pure power."""
-    if ell is None:
-        ell = _CASE_BY_ID["MR10"].ell.base(alpha)
-    return verify_congruence("MR10", {"alpha": alpha, "beta": beta, "ell": ell},
-                             n_max, exact_threshold)
-
-
 @functools.lru_cache(maxsize=None)
 def _quotient(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
     """`eta_quotient`, built once per (spec, order); the series is immutable."""
@@ -608,7 +592,7 @@ def _rhs_window(identity: GfIdentity, level: int, alpha: int, terms: int) -> lis
     It does not depend on ell, so the members of a residue class share
     one cached list; callers must not mutate it.
     """
-    vec = family_vector(identity.family, alpha, level, terms + 1)
+    vec = family_vector(identity.family, alpha, level, terms)
     return _weighted_quotient_window(vec, identity.num, identity.den, terms)
 
 
@@ -626,7 +610,9 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     """
     identity, inst = _identity_instance(identity_id, params)
     fn, prog, lemma_e, params = inst.fn, inst.progression, inst.exponent, inst.params
-    exact = _identity_exact(prog, terms, mode, exact_order_cap)
+    if mode not in IDENTITY_MODES:
+        raise ValueError(f"unknown identity mode {mode!r}; expected one of {IDENTITY_MODES}")
+    exact = mode == "exact" or (mode == "auto" and prog.index(terms - 1) < exact_order_cap)
     rep = Report(case=identity_id, params=dict(params) | {"terms": terms, "mode": mode},
                  checked=terms)
     rhs = _rhs_window(identity, identity.level(params), params["alpha"], terms)
@@ -668,7 +654,7 @@ def probe_seed_reading(identity_id: str, alpha: int, terms: int = 20) -> dict:
     lhs = values_at(inst.fn, map(inst.progression.index, range(terms)), True)
     verdict = {}
     for label, k in (("odd_base_seed", 2 * alpha + 1), ("even_base_seed", 2 * alpha + 2)):
-        vec = x_vector(k, terms + 1)
+        vec = x_vector(k, terms)
         verdict[label] = _weighted_quotient_window(vec, identity.num, identity.den, terms) == lhs
     return verdict
 
@@ -699,14 +685,15 @@ _DEPTH_GRIDS = frozenset({"alphas", "betas", "prime_alphas", "prime_betas", "pri
                           "priors_betas", "conjecture_ks", "conjecture_ms"})
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteConfig:
     """Parameter grids for a full catalog run; ships as data/suite_default.json.
 
     Construction checks every field, a ValueError naming a malformed one.
     Grids are lists or tuples (stored as tuples) of integers, those of
     alpha, beta, k and m values from 0; `include` is None or catalog ids;
-    every other field is an integer.
+    every other field is an integer.  A config is frozen: change one with
+    `dataclasses.replace`, which checks the result again.
     """
 
     alphas: tuple[int, ...] = (0, 1)
@@ -746,7 +733,7 @@ class SuiteConfig:
             if not ok:
                 raise ValueError(f"suite config field {f.name!r} must be {want}, not {v!r}")
             if isinstance(v, list):
-                setattr(self, f.name, tuple(v))
+                object.__setattr__(self, f.name, tuple(v))
         unknown = sorted(set(self.include or ()) - _CASE_BY_ID.keys() - _IDENTITY_BY_ID.keys())
         if unknown:
             raise ValueError(f"suite config field 'include' names ids not in the catalog: {unknown}")
@@ -868,9 +855,10 @@ def _error_report(job, exc: ValueError) -> Report:
 def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     """Run the whole catalog over the configured grids.
 
-    Jobs run serially in catalog order; each engine's base grows to the
-    deepest index read so far, so no coefficient is solved twice.  Reports
-    come back sorted by (case id, parameters).
+    Jobs run serially in the order of `_suite_jobs`, sorted by (kind, id,
+    parameters); each engine's base grows to the deepest index read so
+    far, so no coefficient is solved twice.  Reports come back sorted by
+    (case id, parameters).
     """
     cfg = cfg or SuiteConfig()
     reports: list[Report] = []

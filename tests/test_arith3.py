@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from q3series.arith3 import is_prime, legendre, pi3, series_min_valuation3
-from q3series.series import TruncatedSeries
+from q3series.arith3 import is_prime, legendre, pi3
 
 
 class TestPi3:
@@ -19,29 +18,6 @@ class TestPi3:
         assert pi3(0) is None
         with pytest.raises(TypeError):
             pi3(0) >= 5
-
-
-class TestSeriesMinValuation:
-    def test_simple(self):
-        s = TruncatedSeries.from_terms([(0, 9), (1, 27)], 3)
-        assert series_min_valuation3(s, 3) == 2
-
-    def test_zero_series(self):
-        assert series_min_valuation3(TruncatedSeries.zero(5), 5) is None
-        # zeros are skipped, not taken as the least valuation
-        assert series_min_valuation3(TruncatedSeries.from_terms([(1, 27), (3, 18)], 4), 4) == 2
-
-    def test_extracted_progression(self):
-        # the three-color counts on 3n+2 are all divisible by 9, not 27
-        from q3series.counts import CountingFunction, Kind, count_series
-
-        p3 = count_series(CountingFunction(Kind.P3), 61)
-        sub = p3.extract_progression(3, 2, rescale=True)
-        assert series_min_valuation3(sub, 20) == 2
-
-    def test_beyond_order_rejected(self):
-        with pytest.raises(ValueError):
-            series_min_valuation3(TruncatedSeries.zero(5), 6)
 
 
 class TestLegendre:

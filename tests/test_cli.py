@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import q3series
 from q3series.cli import main
+from q3series.counts import CountingFunction, Kind, enumerate_count
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +43,25 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "--kind", "regular", "--ell", "3",
                                "--nmax", "5", "--format", "csv")
         assert code == 0 and out.strip() == "1,3,9,19,42,81"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+    @pytest.mark.parametrize("kind, ell", [("p3", None), ("regular", 2), ("twocolor", 3)])
+    def test_window_from_nmin_matches_enumeration(self, capsys, fmt, kind, ell):
+        fn = CountingFunction(Kind(kind), ell)
+        argv = ["count", "--kind", kind, "--nmin", "7", "--nmax", "30", "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv, *(["--ell", str(ell)] if ell else []))
+        want = [enumerate_count(fn, n) for n in range(7, 31)]
+        if fmt == "csv":
+            got = [int(v) for v in out.strip().split(",")]
+        elif fmt == "json":
+            data = json.loads(out)
+            assert data["function"] == fn.label() and data["first_n"] == 7
+            got = [int(v) for v in data["values"]]
+        else:
+            lines = [line.split("\t") for line in out.strip().splitlines()]
+            assert [int(n) for n, _ in lines] == list(range(7, 31))
+            got = [int(v) for _, v in lines]
+        assert code == 0 and got == want
 
     def test_missing_ell_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "count", "--kind", "regular", "--nmax", "5")
@@ -141,11 +162,8 @@ class TestVerify:
     def test_suite_with_config(self, tmp_path, capsys):
         from q3series.cli import default_suite_config
 
-        cfg = default_suite_config()
-        cfg.include = ("MR1", "G1")
-        cfg.n_max = 30
-        cfg.n_max_small = 30
-        cfg.priors_n_max = 30
+        cfg = replace(default_suite_config(), include=("MR1", "G1"), n_max=30, n_max_small=30,
+                      priors_n_max=30)
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
         code, out, _ = run_cli(capsys, "verify", "suite", "--config", str(path))
@@ -228,12 +246,9 @@ class TestReportSchema:
     def test_suite_reports_all_validate(self, tmp_path, capsys):
         from q3series.cli import default_suite_config
 
-        cfg = default_suite_config()
-        cfg.include = ("MR1", "MR8", "BC1", "T31")
-        cfg.n_max = cfg.n_max_small = 30
-        cfg.conjecture_n_max = 30
-        cfg.identity_terms = 10
-        cfg.class_reps_per_sign = 1
+        cfg = replace(default_suite_config(), include=("MR1", "MR8", "BC1", "T31"), n_max=30,
+                      n_max_small=30, conjecture_n_max=30, identity_terms=10,
+                      class_reps_per_sign=1)
         path = tmp_path / "cfg.json"
         path.write_text(cfg.to_json())
         main(["verify", "suite", "--config", str(path)])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from q3series import counts, modseries
-from q3series.counts import (CountingFunction, Kind, count_series, count_values,
-                             count_values_mod, enumerate_count, values_at)
+from q3series.arith3 import pi3
+from q3series.counts import (CountingFunction, Kind, count_values, count_values_mod,
+                             enumerate_count, values_at)
 from q3series.eta import jacobi_cube_terms
 from q3series.series import solve_monic_sparse
 
@@ -31,14 +32,15 @@ class TestSeriesRoute:
                    CountingFunction(Kind.TWO_COLOR_TRIPLE, 7)):
             assert count_values(fn, 1) == [1]
 
-    def test_count_series_wrapper(self):
-        s = count_series(CountingFunction(Kind.P3), 9)
-        assert s.offset == 0 and s.order == 9 and s.coeff(8) == 810
-
     def test_known_base_congruence(self):
         # regular triples mod 3 on 3n+2 are divisible by 9
         vals = count_values(CountingFunction(Kind.REGULAR_TRIPLE, 3), 3 * 200 + 3)
         assert all(vals[3 * n + 2] % 9 == 0 for n in range(201))
+
+    def test_three_color_progression_valuation(self):
+        # the three-color counts on 3n+2, n < 20, are all divisible by 9, not all by 27
+        vals = count_values(CountingFunction(Kind.P3), 61)
+        assert min(pi3(v) for v in vals[2::3]) == 2
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -30,9 +30,14 @@ def plain_m(i, j):
     return 27 * plain_m(i - 1, j - 1) + 9 * plain_m(i - 2, j - 1) + plain_m(i - 3, j - 1)
 
 
+def rows(table, imax, jmax):
+    """Rows 1..imax of the table, each over columns 1..jmax."""
+    return [[table.entry(i, j) for j in range(1, jmax + 1)] for i in range(1, imax + 1)]
+
+
 class TestTable:
     def test_display_block(self):
-        assert MTable().block(5, 5) == DISPLAY
+        assert rows(MTable(), 5, 5) == DISPLAY
 
     def test_matches_plain_recurrence(self):
         table = MTable()
@@ -44,7 +49,7 @@ class TestTable:
         table = MTable()
         assert table.entry(250, 120) == plain_m(250, 120)
         assert table.entry(4, 3) == 8748
-        assert table.block(5, 5) == DISPLAY
+        assert rows(table, 5, 5) == DISPLAY
         assert [table.entry(i, 40) for i in range(1, 200)] == [plain_m(i, 40) for i in range(1, 200)]
 
     def test_rows_four_five_come_from_recurrence(self):

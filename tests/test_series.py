@@ -146,9 +146,9 @@ class TestExtract:
         assert kept.terms() == [(0, 1), (3, 1)]
 
     def test_rescale_three_color(self):
-        from q3series.counts import CountingFunction, Kind, count_series
+        from q3series.counts import CountingFunction, Kind, count_values
 
-        p3 = count_series(CountingFunction(Kind.P3), 31)
+        p3 = TruncatedSeries(0, count_values(CountingFunction(Kind.P3), 31), 31)
         sub = p3.extract_progression(3, 2, rescale=True)
         assert sub.coeff(0) == 9  # three-color count at 2
 

@@ -1,6 +1,7 @@
 """Catalog integrity, instantiation, and the verification engines."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import tracemalloc
@@ -18,7 +19,7 @@ from q3series.series import TruncatedSeries
 from q3series.vectors import family_vector
 from q3series.verifier import (SuiteConfig, SuiteReport, _exact_div, catalog, class_members,
                                implied_congruence_holds, instantiate, run_suite,
-                               verify_congruence, verify_gf_identity, verify_mr10)
+                               verify_congruence, verify_gf_identity)
 
 # json.loads of suite_json(run_suite(SuiteConfig(**TestSuite.CFG))) at the default thresholds
 # ("default") and with exact_threshold = identity_exact_cap = 200 ("reduced"),
@@ -278,18 +279,18 @@ class TestVerifyCongruence:
 
 class TestBranchCase:
     def test_structure_documented(self):
-        rep = verify_mr10(0, 0, 60)
+        rep = verify_congruence("MR10", {"alpha": 0, "beta": 0, "ell": 3}, 60)
         assert rep.status == FAIL  # nominal exponent overstated; structure holds lower
         assert rep.extras["fitted_constant"] == "9"
         assert rep.extras["plain_branch_holds"] is False
         assert rep.extras["branch_holds_to_exponent"] == 2
 
     def test_class_member_choice(self):
-        rep = verify_mr10(0, 0, 30, ell=6)
+        rep = verify_congruence("MR10", {"alpha": 0, "beta": 0, "ell": 6}, 30)
         assert rep.extras["fitted_constant"] == "9"
 
     def test_empty_range_skips(self):
-        rep = verify_mr10(0, 0, -1)
+        rep = verify_congruence("MR10", {"alpha": 0, "beta": 0, "ell": 3}, -1)
         assert rep.status == SKIPPED and rep.checked == 0 and rep.failures == []
         assert rep.extras["fitted_constant"] is None
         assert rep.extras["plain_branch_holds"] is None
@@ -329,6 +330,9 @@ class TestIdentities:
             monkeypatch.setattr(verifier, name, expanded)
         with pytest.raises(ValueError, match="mode"):
             verify_gf_identity("T31", {"alpha": 0, "beta": 1, "ell": 6}, 16, "Auto")
+        # an unknown id is named before an unknown mode
+        with pytest.raises(KeyError, match="unknown identity 'T99'"):
+            verify_gf_identity("T99", {"alpha": 0}, 16, "Auto")
 
     def test_capped_difference_valuation(self):
         # H1 holds exactly, so mod 3^15 every difference reads zero: 15 is a lower bound
@@ -528,6 +532,15 @@ class TestSuite:
     def test_config_checked_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             SuiteConfig(**{field: value})
+
+    def test_config_frozen_and_rechecked_on_replace(self):
+        # an assignment would skip the construction checks; replace runs them again
+        cfg = SuiteConfig(include=("MR1",))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.alphas = (-1,)
+        with pytest.raises(ValueError, match="field 'alphas' must be a list of integers from 0"):
+            dataclasses.replace(cfg, alphas=(-1,))
+        assert dataclasses.replace(cfg, alphas=[2]).alphas == (2,)
 
     def test_config_lists_stored_as_tuples(self):
         cfg = SuiteConfig(alphas=[0, 2], include=["MR1"])
