@@ -8,14 +8,24 @@ ordering None against an int raises TypeError, never a silent answer.
 from __future__ import annotations
 
 
+_CHUNK = 3**15
+
+
 def pi3(n: int) -> int | None:
-    """Largest e with 3**e dividing n; None for n = 0."""
+    """Largest e with 3**e dividing n; None for n = 0.
+
+    Whole factors of 3^15 come off a big n with one remainder each; the
+    rest of the valuation, below 15, is that of the small residue n % 3^15.
+    """
     if n == 0:
         return None
-    n = abs(n)
     e = 0
-    while n % 3 == 0:
-        n //= 3
+    while n % _CHUNK == 0:
+        n //= _CHUNK
+        e += 15
+    r = n % _CHUNK
+    while r % 3 == 0:
+        r //= 3
         e += 1
     return e
 

@@ -10,14 +10,15 @@ Definitions, as ordinary generating functions:
 All three are the base 1/E(q)^3 times or divided by E(q^l)^3.  The exact
 engine keeps that base in big integers, the reduced one mod 3^15, and
 neither keeps anything else: `values_at` reads coefficients off the base
-as short sums, `count_values(_mod)` expand in full.  A deliberately dumb
-unbounded-knapsack enumerator over colored parts provides the
-independent oracle for small n; it shares no code with the series route.
+(short sums, or for exact two-color triples one back-substitution per
+residue class mod l), `count_values(_mod)` expand in full.  A
+deliberately dumb unbounded-knapsack enumerator over colored parts
+provides the independent oracle for small n; it shares no code with the
+series route.
 """
 
 from __future__ import annotations
 
-import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -111,10 +112,17 @@ def values_at(fn: CountingFunction, indices, exact: bool) -> list[int]:
     """Coefficients at `indices`, read off the base expanded to the largest.
 
     P3 is the base; the regular triple sums the cube terms (g, c) of
-    E(q^l)^3, T_l[i] = sum c * base[i - g]; the two-color triple reads
-    1/E(q^l)^3 as the base at q^l, p_{l,3}[i] = sum_k base[k] * base[i - l*k].
-    Reduced sums (mod 3^STANDARD_EXPONENT) reduce each int64 product of two
-    residues first, so they need (mod-1)^2 + order * mod < 2^63 (checked).
+    E(q^l)^3, T_l[i] = sum c * base[i - g].  The two-color triple divides
+    the base by E(q^l)^3, whose gaps are multiples of l, so no residue
+    class mod l mixes with another.  Exact reads solve, for each class r
+    read, Q_r * E(x)^3 = base[r::l] by back-substitution (big integers times
+    small cube coefficients) to the deepest index read in that class; the
+    rows are dropped with the call, nothing is cached.  Reduced reads keep
+    the product sum p_{l,3}[i] = sum_k base[k] * base[i - l*k]: an int64
+    product of residues costs no more than a small one, and a class solve
+    through the numpy kernel was slower.  Reduced sums (mod
+    3^STANDARD_EXPONENT) reduce each int64 product of two residues first,
+    so they need (mod-1)^2 + order * mod < 2^63 (checked).
     """
     indices = list(indices)
     order = max(indices, default=0) + 1
@@ -122,7 +130,12 @@ def values_at(fn: CountingFunction, indices, exact: bool) -> list[int]:
     if fn.kind is Kind.P3:
         return [int(base[i]) for i in indices]
     if exact and fn.kind is Kind.TWO_COLOR_TRIPLE:
-        return [sum(map(operator.mul, base, base[i::-fn.ell])) for i in indices]
+        ell, depth = fn.ell, {}
+        for i in indices:
+            depth[i % ell] = max(depth.get(i % ell, 0), i // ell + 1)
+        rows = {r: solve_monic_sparse(jacobi_cube_terms(1, j), base[r:r + ell * j:ell], j)
+                for r, j in depth.items()}
+        return [rows[i % ell][i // ell] for i in indices]
     if exact:
         terms = jacobi_cube_terms(fn.ell, order)
         return [sum(c * base[i - g] for g, c in terms if g <= i) for i in indices]

@@ -1,7 +1,7 @@
 """Valuations, primality and the Legendre symbol."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from q3series.arith3 import is_prime, legendre, pi3
 
@@ -18,6 +18,35 @@ class TestPi3:
         assert pi3(0) is None
         with pytest.raises(TypeError):
             pi3(0) >= 5
+
+
+def _pi3_plain(n: int) -> int | None:
+    """The plain loop pi3 is checked against: divide by 3 while it divides."""
+    if n == 0:
+        return None
+    n, e = abs(n), 0
+    while n % 3 == 0:
+        n, e = n // 3, e + 1
+    return e
+
+
+class TestPi3Differential:
+    """pi3 strips whole factors of 3^15 first; the plain loop is the oracle."""
+
+    @pytest.mark.parametrize("u", [1, 2, 5, 3**15 - 1, 3**15 + 1, 7 * 10**300 + 1, 2**1000 + 1],
+                             ids=["1", "2", "5", "3^15-1", "3^15+1", "7*10^300+1", "2^1000+1"])
+    def test_unit_times_powers(self, u):
+        # valuations across every multiple of 15 up to 60, either sign
+        for k in range(61):
+            for n in (u * 3**k, -u * 3**k):
+                assert pi3(n) == _pi3_plain(n) == k
+
+    @settings(max_examples=300)
+    @given(st.integers(-10**400, 10**400), st.integers(0, 60))
+    @example(0, 7)  # 0 -> None
+    def test_matches_plain_loop(self, n, k):
+        for m in (n, -n, n * 3**k):
+            assert pi3(m) == _pi3_plain(m)
 
 
 class TestLegendre:

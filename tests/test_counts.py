@@ -1,5 +1,7 @@
 """Counting functions: series route against the enumeration oracle."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -110,6 +112,18 @@ class TestPointValues:
         reduced = count_values_mod(fn, order)
         assert values_at(fn, indices, True) == [exact[i] for i in indices]
         assert values_at(fn, indices, False) == [int(reduced[i]) for i in indices]
+
+    @pytest.mark.parametrize("ell", [1, 3, 12, 33, 81])
+    def test_two_color_deep_reads_match_product_sums(self, ell):
+        # the exact two-color read solves one row per class mod l; the oracle
+        # is the product sum p_{l,3}[i] = sum_k base[k] * base[i - l*k]
+        fn = CountingFunction(Kind.TWO_COLOR_TRIPLE, ell)
+        indices = [5003, 4999, 4871, 5003, 4901 + ell, 4998, 4999 - ell, ell - 1, 0, ell // 2, 4999]
+        assert len({i % ell for i in indices}) >= min(ell, 4)
+        base = counts._base(5004, True)[:5004]
+        want = [sum(map(operator.mul, base, base[i::-ell])) for i in indices]
+        assert values_at(fn, indices, True) == want
+        assert values_at(fn, indices, False) == [v % counts._MOD for v in want]
 
     def test_ascending_reads_extend_the_exact_base(self, monkeypatch):
         # in either engine each read past the base appends to it; nothing is

@@ -650,7 +650,9 @@ class TestSuiteJson:
 
 class TestSuiteReadsPoints:
     """run_suite reads coefficients off the shared bases: it expands no key
-    and solves each reduced coefficient once."""
+    and solves each reduced coefficient once.  The one kernel call allowed
+    is the exact two-color read's solve of one residue class mod l against
+    the stride-1 cube, no deeper than the deepest index of the read it serves."""
 
     # keys at orders up to 963; those above 500 read the reduced engine
     CFG = dict(alphas=(0, 1), betas=(0,), n_max=3, n_max_small=6, priors_betas=(0,), priors_n_max=6,
@@ -659,17 +661,28 @@ class TestSuiteReadsPoints:
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """A cold reduced base; every sparse kernel call is logged as (kernel, l, order)."""
+        """A cold reduced base; every sparse kernel call is logged as
+        (kernel, l, order, read), read being the exact (fn, deepest index)
+        that values_at is reading, or None."""
         monkeypatch.setattr(counts, "_mod_base", np.ones(1, dtype=np.int64))
-        calls = []
+        calls, reading, values_at = [], [None], verifier.values_at
 
         def logged(name, kernel, terms_at):
             def run(*args):
                 terms = args[terms_at]
-                calls.append((name, terms[1][0] if len(terms) > 1 else None, args[2]))
+                calls.append((name, terms[1][0] if len(terms) > 1 else None, args[2], reading[0]))
                 return kernel(*args)
             return run
 
+        def read(fn, indices, exact):
+            indices = list(indices)
+            reading[0] = (fn, max(indices, default=0)) if exact else None
+            try:
+                return values_at(fn, indices, exact)
+            finally:
+                reading[0] = None
+
+        monkeypatch.setattr(verifier, "values_at", read)
         monkeypatch.setattr(counts, "mul_sparse", logged("mul", counts.mul_sparse, 1))
         monkeypatch.setattr(counts, "solve_monic_sparse", logged("solve", counts.solve_monic_sparse, 0))
         monkeypatch.setattr(modseries, "mul_sparse_mod", logged("mod-mul", modseries.mul_sparse_mod, 1))
@@ -684,10 +697,19 @@ class TestSuiteReadsPoints:
             engines.setdefault(r.extras.get("engine", "exact"), set()).add(r.extras["function"])
         return engines
 
+    def assert_class_solves_only(self, kernel_calls):
+        assert kernel_calls
+        for name, stride, order, read in kernel_calls:
+            assert name == "solve" and read is not None
+            fn, deepest = read
+            assert fn.kind is Kind.TWO_COLOR_TRIPLE
+            assert stride == (1 if order > 1 else None)
+            assert order <= deepest // fn.ell + 1
+
     def test_no_key_expanded(self, kernel_calls):
         engines = self.functions_by_engine()
         assert len(engines["exact"] - {"p3"}) > 12 and len(engines["reduced(3^15)"]) >= 2
-        assert [c for c in kernel_calls if c[0] != "mod-solve"] == []
+        self.assert_class_solves_only(kernel_calls)
 
     def test_reduced_base_solved_once(self, kernel_calls, monkeypatch):
         # each reduced coefficient is solved once: the base grows from its
@@ -701,7 +723,7 @@ class TestSuiteReadsPoints:
 
         monkeypatch.setattr(modseries, "extend_monic_sparse_mod", spy)
         self.functions_by_engine()
-        assert kernel_calls == []
+        self.assert_class_solves_only(kernel_calls)
         assert spans[0][0] == 1 and spans[-1][1] == 963
         assert all(start < end for start, end in spans)
         assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
