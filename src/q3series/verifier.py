@@ -18,11 +18,13 @@ Index conventions for case parameters:
 
 A negative alpha, beta, k or m (k and m also index the open statements)
 is a ValueError, and so is k = 0 in the open statements, whose towers
-start at k = 1 (``CongruenceCase.k_min``).  Each identity names the
-congruence it implies (``GfIdentity.implies``), which holds its
-progression and lemma exponent: a cataloged family for nine of them (T11
-implies MR1, for one), a record of its own that ``catalog()`` does not
-list for H1, H2, D6, T23 and T311.
+start at k = 1 (``CongruenceCase.k_min``).  Every congruence record has
+one shape (``CongruenceCase``), written as text in linear forms over a
+(alpha), b (beta), k and m such as "2a+2b+1" (``Form``).
+Each identity names the congruence it implies (``GfIdentity.implies``),
+which holds its progression and lemma exponent: a cataloged family for
+nine of them (T11 implies MR1, for one), a record of its own that
+``catalog()`` does not list for H1, H2, D6, T23 and T311.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator
@@ -84,13 +87,46 @@ class CaseInstance:
 # -- the congruence catalog ----------------------------------------------
 
 
-_B_DEN = 8  # every progression shift in both catalogs is B_num / 8
-
-
 def _pow3(e: int) -> int:
     if e < 0:
         raise ValueError(f"3^{e} is not an integer: a parameter is out of range")
     return 3**e
+
+
+_PARAM_OF = {"a": "alpha", "b": "beta", "k": "k", "m": "m"}
+_FORM_TEXT = re.compile(r"(?:\d*[abkm]|\d+)(?:[+-](?:\d*[abkm]|\d+))*")
+
+
+@dataclass(frozen=True)
+class Form:
+    """A linear form in alpha, beta, k and m, written as the README writes
+    one: "2a+2b+1" is 2 alpha + 2 beta + 1.  Text that is not wholly such a
+    sum is a ValueError.  Called on a case's parameters, it is their value."""
+
+    text: str
+
+    def __post_init__(self):
+        if not _FORM_TEXT.fullmatch(self.text):
+            raise ValueError(f"{self.text!r} is not a linear form in a, b, k and m")
+        terms = re.findall(r"([+-]?)(\d*)([abkm]?)", self.text)
+        object.__setattr__(self, "_terms", [(_PARAM_OF.get(var), int(sign + (digits or "1")))
+                                             for sign, digits, var in terms if digits or var])
+
+    def __call__(self, params: dict) -> int:
+        return sum(c if name is None else c * params[name] for name, c in self._terms)
+
+
+@dataclass(frozen=True)
+class Term:
+    """c * 3^x * p^y, for linear forms x and y; without y there is no p."""
+
+    c: int
+    x: Form
+    y: Form | None = None
+
+    def __call__(self, params: dict) -> int:
+        p_power = 1 if self.y is None else params["p"] ** self.y(params)
+        return self.c * _pow3(self.x(params)) * p_power
 
 
 @dataclass(frozen=True)
@@ -122,22 +158,45 @@ def class_members(base: int, per_sign: int) -> list[int]:
     return sorted(set(pos + neg))
 
 
+# sigma of 8B = c 3^x p^y + sigma*ell0 + 1 is the q-shift of each eta quotient:
+# eta(ell tau)^3/eta(tau)^3 = q^((ell-1)/8) E(q^ell)^3/E(q)^3 for T_ell, and
+# q^(-(ell+1)/8) and q^(-1/8) for p_{ell,3} and p3, put coefficient n at
+# q^((8n - sigma*ell - 1)/8).  A class doubles sigma and flips its sign:
+# -2 ell0 is ell0 mod 3 ell0.
+_SHIFT_SIGN = {Kind.REGULAR_TRIPLE: -1, Kind.TWO_COLOR_TRIPLE: 1, Kind.P3: 0}
+
+
 @dataclass(frozen=True)
 class CongruenceCase:
-    """One congruence family: which function, which progression, which power."""
+    """One congruence family: the coefficients of the `kind` function at
+    the indices A*n + B are divisible by 3^exponent.
+
+    Every record has this shape, read from its text by `_case`, x and y
+    being linear forms: ell is 3^x, a `ResidueClass`, or None for p3;
+    A = 3^x p^y; 8B = c 3^x p^y + sigma*ell0 + 1 (`B_num`), with ell0 the
+    3^x of ell or its class base and sigma from `_SHIFT_SIGN`; the
+    exponent is a linear form.
+    """
 
     id: str
     kind: Kind
-    ell: Callable[[dict], int | None]  # None for p3, which has no modulus parameter
-    A: Callable[[dict], int]
-    B_num: Callable[[dict], int]
-    exponent: Callable[[dict], int]
-    param_names: tuple[str, ...]
+    ell: Term | ResidueClass | None
+    A: Term
+    B: Term                         # c 3^x p^y, 8B less its shift sigma*ell0 + 1
+    exponent: Form
+    param_names: tuple[str, ...]    # in the order alpha, beta, ell, p, k, m
     prime_class: str | None = None  # "3mod4" | "nonresidue-3" | "odd"
     filter_p: bool = False          # restrict to indices with p not dividing n
     branch: bool = False            # triangular/non-triangular split
     conjecture: bool = False
     k_min: int = 0                  # the open statements' towers start at k = 1
+
+    def B_num(self, params: dict) -> int:
+        """8B.  A class's shift reads its base, not ell."""
+        sigma = _SHIFT_SIGN[self.kind]
+        if isinstance(self.ell, ResidueClass):
+            return self.B(params) - 2 * sigma * self.ell.base(params["alpha"]) + 1
+        return self.B(params) + (0 if self.ell is None else sigma * self.ell(params)) + 1
 
     def instantiate(self, params: dict) -> CaseInstance:
         missing = [k for k in self.param_names if k not in params]
@@ -156,9 +215,8 @@ class CongruenceCase:
                 raise ValueError(f"{self.id}: -3 must be a quadratic nonresidue mod p={p}")
             if self.prime_class == "odd" and (not is_prime(p) or p == 2):
                 raise ValueError(f"{self.id}: p={p} must be an odd prime")
-        ell = self.ell(params)
-        fn = CountingFunction(self.kind, ell)
-        prog = Progression(self.A(params), _exact_div(self.B_num(params), _B_DEN))
+        fn = CountingFunction(self.kind, None if self.ell is None else self.ell(params))
+        prog = Progression(self.A(params), _exact_div(self.B_num(params), 8))
         n_filter = None
         if self.filter_p:
             p = params["p"]
@@ -167,167 +225,75 @@ class CongruenceCase:
                             n_filter, self.branch, self.conjecture)
 
 
-def _mt1_b(shift: int):
-    return lambda P: shift * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) - _pow3(2 * P["alpha"] + 1) + 1
+def _case(id: str, kind: Kind, ell, A, B: tuple, exponent: str, **flags) -> CongruenceCase:
+    """A record from its text: ell a form x, for 3^x, or as it is; A "x" or
+    ("x", "y"), for 3^x p^y; B (c, "x") or (c, "x", "y"), for c 3^x p^y.
+    Its parameters are those the forms name, ell for a class and p for a y."""
+    def term(c: int, x: str, y: str | None = None) -> Term:
+        return Term(c, Form(x), None if y is None else Form(y))
+
+    A = (A,) if isinstance(A, str) else A
+    texts = [*A, *B[1:], exponent] + ([ell] if isinstance(ell, str) else [])
+    used = {_PARAM_OF[v] for v in re.findall("[abkm]", " ".join(texts))}
+    used |= {"alpha", "ell"} if isinstance(ell, ResidueClass) else set()
+    used |= {"p"} if len(A) == 2 or len(B) == 3 else set()
+    names = tuple(n for n in ("alpha", "beta", "ell", "p", "k", "m") if n in used)
+    return CongruenceCase(id, kind, term(1, ell) if isinstance(ell, str) else ell,
+                          term(1, *A), term(*B), Form(exponent), names, **flags)
 
 
+_T, _TWO = Kind.REGULAR_TRIPLE, Kind.TWO_COLOR_TRIPLE  # T_ell and p_{ell,3}
+
+# id, kind, ell, A, B, exponent: see `_case`
 _CASES: list[CongruenceCase] = [
     # single odd power, plain grid
-    CongruenceCase("MR1", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-                   lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
-    CongruenceCase("MR2", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2), _mt1_b(14),
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 4, ("alpha", "beta")),
-    CongruenceCase("MR3", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2), _mt1_b(22),
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 5, ("alpha", "beta")),
-    CongruenceCase("MR4", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) * P["p"] ** (2 * P["k"] + 1),
-                   lambda P: 2 * P["p"] ** (2 * P["k"] + 2) * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2)
-                   - _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 4, ("alpha", "beta", "p", "k"),
-                   prime_class="3mod4", filter_p=True),
+    _case("MR1", _T, "2a+1", "2a+2b+1", (2, "2a+2b+2"), "3a+2b+2"),
+    _case("MR2", _T, "2a+1", "2a+2b+2", (14, "2a+2b+1"), "3a+2b+4"),
+    _case("MR3", _T, "2a+1", "2a+2b+2", (22, "2a+2b+1"), "3a+2b+5"),
+    _case("MR4", _T, "2a+1", ("2a+2b+2", "2k+1"), (2, "2a+2b+2", "2k+2"), "3a+2b+4",
+          prime_class="3mod4", filter_p=True),
     # single even power
-    CongruenceCase("MR5", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
-                   lambda P: _pow3(2 * P["alpha"] + P["beta"] + 1),
-                   lambda P: 8 * _pow3(2 * P["alpha"] + P["beta"] + 1) - _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
-    CongruenceCase("MR6", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
-                   lambda P: _pow3(2 * P["alpha"] + P["beta"] + 2),
-                   lambda P: 16 * _pow3(2 * P["alpha"] + P["beta"] + 1) - _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 3, ("alpha", "beta")),
+    _case("MR5", _T, "2a+2", "2a+b+1", (8, "2a+b+1"), "3a+2b+2"),
+    _case("MR6", _T, "2a+2", "2a+b+2", (16, "2a+b+1"), "3a+2b+3"),
     # odd residue class
-    CongruenceCase("MR7", Kind.REGULAR_TRIPLE, _ODD_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell")),
-    CongruenceCase("MR8", Kind.REGULAR_TRIPLE, _ODD_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 11 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + P["beta"] + 4, ("alpha", "beta", "ell")),
-    CongruenceCase("MR9", Kind.REGULAR_TRIPLE, _ODD_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 19 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + P["beta"] + 5, ("alpha", "beta", "ell")),
-    CongruenceCase("MR10", Kind.REGULAR_TRIPLE, _ODD_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + P["beta"] + 4, ("alpha", "beta", "ell"),
-                   branch=True),
-    CongruenceCase("MR11", Kind.REGULAR_TRIPLE, _ODD_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) * P["p"] ** (2 * P["k"] + 1),
-                   lambda P: P["p"] ** (2 * P["k"] + 2) * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2)
-                   + 2 * _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + P["beta"] + 4, ("alpha", "beta", "ell", "p", "k"),
-                   prime_class="odd", filter_p=True),
+    _case("MR7", _T, _ODD_CLASS, "2a+2b+1", (1, "2a+2b+2"), "3a+b+2"),
+    _case("MR8", _T, _ODD_CLASS, "2a+2b+2", (11, "2a+2b+1"), "3a+b+4"),
+    _case("MR9", _T, _ODD_CLASS, "2a+2b+2", (19, "2a+2b+1"), "3a+b+5"),
+    _case("MR10", _T, _ODD_CLASS, "2a+2b+2", (1, "2a+2b+2"), "3a+b+4", branch=True),
+    _case("MR11", _T, _ODD_CLASS, ("2a+2b+2", "2k+1"), (1, "2a+2b+2", "2k+2"), "3a+b+4",
+          prime_class="odd", filter_p=True),
     # even residue class
-    CongruenceCase("MR12", Kind.REGULAR_TRIPLE, _EVEN_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell")),
-    CongruenceCase("MR13", Kind.REGULAR_TRIPLE, _EVEN_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
-                   lambda P: 13 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 3 * P["beta"] + 5, ("alpha", "beta", "ell")),
-    CongruenceCase("MR14", Kind.REGULAR_TRIPLE, _EVEN_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
-                   lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 3) + 2 * _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 3 * P["beta"] + 6, ("alpha", "beta", "ell")),
+    _case("MR12", _T, _EVEN_CLASS, "2a+2b+2", (5, "2a+2b+2"), "3a+3b+4"),
+    _case("MR13", _T, _EVEN_CLASS, "2a+2b+3", (13, "2a+2b+2"), "3a+3b+5"),
+    _case("MR14", _T, _EVEN_CLASS, "2a+2b+3", (7, "2a+2b+3"), "3a+3b+6"),
     # two-product, single odd power
-    CongruenceCase("MR15", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
-                   lambda P: _pow3(2 * P["alpha"] + P["beta"] + 1),
-                   lambda P: 4 * _pow3(2 * P["alpha"] + P["beta"] + 1) + _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta")),
-    CongruenceCase("MR16", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
-                   lambda P: _pow3(2 * P["alpha"] + P["beta"] + 1) * P["p"] ** (2 * P["k"] + 1),
-                   lambda P: 4 * P["p"] ** (2 * P["k"] + 2) * _pow3(2 * P["alpha"] + P["beta"] + 1)
-                   + _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + P["beta"] + 4, ("alpha", "beta", "p", "k"),
-                   prime_class="nonresidue-3", filter_p=True),
+    _case("MR15", _TWO, "2a+1", "2a+b+1", (4, "2a+b+1"), "3a+b+2"),
+    _case("MR16", _TWO, "2a+1", ("2a+b+1", "2k+1"), (4, "2a+b+1", "2k+2"), "3a+b+4",
+          prime_class="nonresidue-3", filter_p=True),
     # two-product, single even power
-    CongruenceCase("MR17", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-                   lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
-    CongruenceCase("MR171", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 10 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) + _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 3, ("alpha", "beta")),
-    CongruenceCase("MR18", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
-                   lambda P: 14 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 6, ("alpha", "beta")),
-    CongruenceCase("MR19", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
-                   lambda P: 22 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 7, ("alpha", "beta")),
-    CongruenceCase("MR20", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) * P["p"] ** (2 * P["k"] + 1),
-                   lambda P: 2 * P["p"] ** (2 * P["k"] + 2) * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1)
-                   + _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 4, ("alpha", "beta", "p", "k"),
-                   prime_class="3mod4", filter_p=True),
+    _case("MR17", _TWO, "2a+2", "2a+2b+1", (2, "2a+2b+1"), "3a+2b+2"),
+    _case("MR171", _TWO, "2a+2", "2a+2b+2", (10, "2a+2b+1"), "3a+2b+3"),
+    _case("MR18", _TWO, "2a+2", "2a+2b+3", (14, "2a+2b+2"), "3a+2b+6"),
+    _case("MR19", _TWO, "2a+2", "2a+2b+3", (22, "2a+2b+2"), "3a+2b+7"),
+    _case("MR20", _TWO, "2a+2", ("2a+2b+1", "2k+1"), (2, "2a+2b+1", "2k+2"), "3a+2b+4",
+          prime_class="3mod4", filter_p=True),
     # two-product, odd residue class
-    CongruenceCase("MR21", Kind.TWO_COLOR_TRIPLE, _ODD_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 1),
-                   lambda P: 7 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + 3 * P["beta"] + 2, ("alpha", "beta", "ell")),
-    CongruenceCase("MR22", Kind.TWO_COLOR_TRIPLE, _ODD_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 23 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 1) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell")),
-    CongruenceCase("MR23", Kind.TWO_COLOR_TRIPLE, _ODD_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 5 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + 3 * P["beta"] + 3, ("alpha", "beta", "ell")),
-    CongruenceCase("MR24", Kind.TWO_COLOR_TRIPLE, _ODD_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 3),
-                   lambda P: 13 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - 2 * _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + 3 * P["beta"] + 4, ("alpha", "beta", "ell")),
+    _case("MR21", _TWO, _ODD_CLASS, "2a+2b+1", (7, "2a+2b+1"), "3a+3b+2"),
+    _case("MR22", _TWO, _ODD_CLASS, "2a+2b+2", (23, "2a+2b+1"), "3a+3b+4"),
+    _case("MR23", _TWO, _ODD_CLASS, "2a+2b+2", (5, "2a+2b+2"), "3a+3b+3"),
+    _case("MR24", _TWO, _ODD_CLASS, "2a+2b+3", (13, "2a+2b+2"), "3a+3b+4"),
     # previously published families, regression targets
-    CongruenceCase("G1", Kind.REGULAR_TRIPLE, lambda P: 3,
-                   lambda P: _pow3(2 * P["beta"] + 1),
-                   lambda P: 2 * (_pow3(2 * P["beta"] + 2) - 1),
-                   lambda P: 2 * P["beta"] + 2, ("beta",)),
-    CongruenceCase("B1", Kind.REGULAR_TRIPLE, lambda P: 9,
-                   lambda P: _pow3(P["beta"] + 1),
-                   lambda P: 8 * (_pow3(P["beta"] + 1) - 1),
-                   lambda P: 2 * P["beta"] + 2, ("beta",)),
-    CongruenceCase("B2", Kind.REGULAR_TRIPLE, lambda P: 9,
-                   lambda P: _pow3(P["beta"] + 2),
-                   lambda P: 8 * (2 * _pow3(P["beta"] + 1) - 1),
-                   lambda P: 2 * P["beta"] + 3, ("beta",)),
-    CongruenceCase("B3", Kind.REGULAR_TRIPLE, lambda P: 27,
-                   lambda P: _pow3(2 * P["beta"] + 3),
-                   lambda P: 2 * (_pow3(2 * P["beta"] + 4) - 13),
-                   lambda P: 2 * P["beta"] + 5, ("beta",)),
-    CongruenceCase("B4", Kind.REGULAR_TRIPLE, lambda P: 27,
-                   lambda P: _pow3(2 * P["beta"] + 4),
-                   lambda P: 2 * (P["p"] * _pow3(2 * P["beta"] + 3) - 13),
-                   lambda P: 2 * P["beta"] + 7, ("beta", "p"), prime_class="3mod4"),
-    CongruenceCase("T1", Kind.TWO_COLOR_TRIPLE, lambda P: 3,
-                   lambda P: _pow3(P["beta"] + 1),
-                   lambda P: 4 * (_pow3(P["beta"] + 1) + 1),
-                   lambda P: P["beta"] + 2, ("beta",)),
-    CongruenceCase("T2", Kind.TWO_COLOR_TRIPLE, lambda P: 9,
-                   lambda P: _pow3(2 * P["beta"] + 1),
-                   lambda P: 2 * (_pow3(2 * P["beta"] + 1) + 5),
-                   lambda P: 2 * P["beta"] + 2, ("beta",)),
-    CongruenceCase("T3", Kind.TWO_COLOR_TRIPLE, lambda P: 9,
-                   lambda P: _pow3(2 * P["beta"] + 2),
-                   lambda P: 2 * (_pow3(2 * P["beta"] + 3) + 5),
-                   lambda P: 2 * P["beta"] + 4, ("beta",)),
+    _case("G1", _T, "1", "2b+1", (2, "2b+2"), "2b+2"),
+    _case("B1", _T, "2", "b+1", (8, "b+1"), "2b+2"),
+    _case("B2", _T, "2", "b+2", (16, "b+1"), "2b+3"),
+    _case("B3", _T, "3", "2b+3", (2, "2b+4"), "2b+5"),
+    _case("B4", _T, "3", "2b+4", (2, "2b+3", "1"), "2b+7", prime_class="3mod4"),
+    _case("T1", _TWO, "1", "b+1", (4, "b+1"), "b+2"),
+    _case("T2", _TWO, "2", "2b+1", (2, "2b+1"), "2b+2"),
+    _case("T3", _TWO, "2", "2b+2", (2, "2b+3"), "2b+4"),
     # open statements, probed but never gating
-    CongruenceCase("BC1", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["k"]),
-                   lambda P: _pow3(P["m"] + 2 * P["k"] - 1),
-                   lambda P: 8 * _pow3(P["m"] + 2 * P["k"] - 1) - (_pow3(2 * P["k"]) - 1),
-                   lambda P: 3 * P["k"] + 2 * P["m"] - 1, ("k", "m"), conjecture=True, k_min=1),
-    CongruenceCase("BC2", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["k"] - 1),
-                   lambda P: _pow3(2 * P["m"] + 2 * P["k"] - 1),
-                   lambda P: 2 * _pow3(2 * P["m"] + 2 * P["k"]) - _pow3(2 * P["k"] - 1) + 1,
-                   lambda P: 3 * P["k"] + 2 * P["m"] - 1, ("k", "m"), conjecture=True, k_min=1),
+    _case("BC1", _T, "2k", "m+2k-1", (8, "m+2k-1"), "3k+2m-1", conjecture=True, k_min=1),
+    _case("BC2", _T, "2k-1", "2m+2k-1", (2, "2m+2k"), "3k+2m-1", conjecture=True, k_min=1),
 ]
 
 _CASE_BY_ID = {c.id: c for c in _CASES}
@@ -353,50 +319,35 @@ class GfIdentity:
     id: str
     implies: CongruenceCase
     family: Family
-    level: Callable[[dict], int]
+    level: Form
     num: int
     den: int
 
 
 # what the identities without a cataloged congruence imply; checked only as identities
 _UNLISTED = {c.id: c for c in [
-    CongruenceCase("H1", Kind.P3, lambda P: None,
-                   lambda P: _pow3(2 * P["alpha"] + 1),
-                   lambda P: 5 * _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + 2, ("alpha",)),
-    CongruenceCase("H2", Kind.P3, lambda P: None,
-                   lambda P: _pow3(2 * P["alpha"] + 2),
-                   lambda P: 7 * _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 4, ("alpha",)),
-    CongruenceCase("D6", Kind.REGULAR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 1),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) - _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 2, ("alpha", "beta")),
-    CongruenceCase("T23", Kind.TWO_COLOR_TRIPLE, lambda P: _pow3(2 * P["alpha"] + 2),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: 2 * _pow3(2 * P["alpha"] + 2 * P["beta"] + 3) + _pow3(2 * P["alpha"] + 2) + 1,
-                   lambda P: 3 * P["alpha"] + 2 * P["beta"] + 4, ("alpha", "beta")),
-    CongruenceCase("T311", Kind.REGULAR_TRIPLE, _ODD_CLASS,
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2),
-                   lambda P: _pow3(2 * P["alpha"] + 2 * P["beta"] + 2) + 2 * _pow3(2 * P["alpha"] + 1) + 1,
-                   lambda P: 3 * P["alpha"] + P["beta"] + 2, ("alpha", "beta", "ell")),
+    _case("H1", Kind.P3, None, "2a+1", (5, "2a+1"), "3a+2"),
+    _case("H2", Kind.P3, None, "2a+2", (7, "2a+2"), "3a+4"),
+    _case("D6", _T, "2a+1", "2a+2b+2", (2, "2a+2b+2"), "3a+2b+2"),
+    _case("T23", _TWO, "2a+2", "2a+2b+2", (2, "2a+2b+3"), "3a+2b+4"),
+    _case("T311", _T, _ODD_CLASS, "2a+2b+2", (1, "2a+2b+2"), "3a+b+2"),
 ]}
 
 _IDENTITIES: list[GfIdentity] = [
-    GfIdentity("H1", _UNLISTED["H1"], Family.X, lambda P: 2 * P["alpha"] + 1, -3, 0),
-    GfIdentity("H2", _UNLISTED["H2"], Family.X, lambda P: 2 * P["alpha"] + 2, 0, 3),
-    GfIdentity("T11", _CASE_BY_ID["MR1"], Family.R, lambda P: 2 * P["beta"] + 1, -3, -3),
-    GfIdentity("D6", _UNLISTED["D6"], Family.R, lambda P: 2 * P["beta"] + 2, -9, -9),
-    GfIdentity("T12", _CASE_BY_ID["MR5"], Family.S, lambda P: P["beta"] + 1, 0, 0),
-    GfIdentity("T21", _CASE_BY_ID["MR15"], Family.U, lambda P: P["beta"] + 1, -3, 3),
-    GfIdentity("T22", _CASE_BY_ID["MR17"], Family.V, lambda P: 2 * P["beta"] + 1, -6, 0),
-    GfIdentity("T23", _UNLISTED["T23"], Family.V, lambda P: 2 * P["beta"] + 2, 0, 6),
-    GfIdentity("T24", _CASE_BY_ID["MR21"], Family.W, lambda P: 2 * P["beta"] + 1, 0, 3),
-    GfIdentity("T25", _CASE_BY_ID["MR23"], Family.W, lambda P: 2 * P["beta"] + 2, -3, 0),
-    GfIdentity("T31", _CASE_BY_ID["MR7"], Family.Y, lambda P: 2 * P["beta"] + 1, -6, -3),
-    GfIdentity("T311", _UNLISTED["T311"], Family.Y, lambda P: 2 * P["beta"] + 2, -9, -6),
-    GfIdentity("T32", _CASE_BY_ID["MR12"], Family.Z, lambda P: 2 * P["beta"] + 1, -3, 0),
-    GfIdentity("T321", _CASE_BY_ID["MR14"], Family.Z, lambda P: 2 * P["beta"] + 2, 0, 3),
+    GfIdentity("H1", _UNLISTED["H1"], Family.X, Form("2a+1"), -3, 0),
+    GfIdentity("H2", _UNLISTED["H2"], Family.X, Form("2a+2"), 0, 3),
+    GfIdentity("T11", _CASE_BY_ID["MR1"], Family.R, Form("2b+1"), -3, -3),
+    GfIdentity("D6", _UNLISTED["D6"], Family.R, Form("2b+2"), -9, -9),
+    GfIdentity("T12", _CASE_BY_ID["MR5"], Family.S, Form("b+1"), 0, 0),
+    GfIdentity("T21", _CASE_BY_ID["MR15"], Family.U, Form("b+1"), -3, 3),
+    GfIdentity("T22", _CASE_BY_ID["MR17"], Family.V, Form("2b+1"), -6, 0),
+    GfIdentity("T23", _UNLISTED["T23"], Family.V, Form("2b+2"), 0, 6),
+    GfIdentity("T24", _CASE_BY_ID["MR21"], Family.W, Form("2b+1"), 0, 3),
+    GfIdentity("T25", _CASE_BY_ID["MR23"], Family.W, Form("2b+2"), -3, 0),
+    GfIdentity("T31", _CASE_BY_ID["MR7"], Family.Y, Form("2b+1"), -6, -3),
+    GfIdentity("T311", _UNLISTED["T311"], Family.Y, Form("2b+2"), -9, -6),
+    GfIdentity("T32", _CASE_BY_ID["MR12"], Family.Z, Form("2b+1"), -3, 0),
+    GfIdentity("T321", _CASE_BY_ID["MR14"], Family.Z, Form("2b+2"), 0, 3),
 ]
 
 _IDENTITY_BY_ID = {i.id: i for i in _IDENTITIES}

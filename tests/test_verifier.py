@@ -2,7 +2,9 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -204,6 +206,147 @@ class TestIdentityLink:
             verify_gf_identity("T31", {"alpha": 0, "beta": -1, "ell": 3})
         with pytest.raises(KeyError):
             implied_congruence_holds("MR1", {"alpha": 0, "beta": 0})
+
+
+def _records() -> list:
+    """The 40 congruence records by id: the catalog's 35 and the 5 that only
+    an identity implies."""
+    cat = catalog()
+    records = {c.id: c for c in cat["congruences"]} | {i.implies.id: i.implies
+                                                        for i in cat["identities"]}
+    return [records[cid] for cid in sorted(records)]
+
+
+# each prime class's residues p mod 8: a prime 3 mod 4 is 3 or 7 mod 8, and
+# both other classes (p = 2 refused) hold primes of every odd residue
+P_MOD_8 = {"3mod4": (3, 7), "odd": (1, 3, 5, 7), "nonresidue-3": (1, 3, 5, 7)}
+
+# sha256 of _catalog_rows(), computed on the catalog when its formulas were lambdas
+CATALOG_SHA256 = "f9d9c51e6c34fc66122bf72d1c7fa767bed1b846b8de63fbef5dc64ccd1cd2ce"
+
+
+def _catalog_rows() -> list:
+    """Every record instantiated on a fixed grid, records sorted by id.
+
+    alpha and beta run over 0..3, k over 0..3, m over 0..2 and p over the
+    primes to 23 and 2; a class record's ell, iterated last, over 1, 2 and
+    the three least members of each sign of both classes at its alpha.
+    Congruences go through `instantiate`, identities through
+    `_identity_instance`; a point one refuses is [id, params, "error"].
+    """
+    grid = {"alpha": range(4), "beta": range(4), "k": range(4), "m": range(3),
+            "p": (2, 3, 5, 7, 11, 13, 17, 19, 23)}
+    cat = catalog()
+    records = [(c.id, c, instantiate) for c in cat["congruences"]]
+    records += [(i.id, i.implies, lambda iid, P: verifier._identity_instance(iid, P)[1])
+                for i in cat["identities"]]
+    rows = []
+    for rid, case, make in sorted(records, key=lambda r: r[0]):
+        points = [{}]
+        for name in sorted(case.param_names, key=lambda name: name == "ell"):
+            points = [P | {name: v} for P in points for v in (
+                sorted({1, 2, *class_members(3 ** (2 * P["alpha"] + 1), 3),
+                        *class_members(3 ** (2 * P["alpha"] + 2), 3)})
+                if name == "ell" else grid[name])]
+        for P in points:
+            try:
+                inst = make(rid, P)
+            except ValueError:
+                rows.append([rid, P, "error"])
+                continue
+            rows.append([rid, P, inst.fn.label(), inst.progression.A, inst.progression.B,
+                         inst.exponent, inst.n_filter is not None, inst.branch, inst.conjecture])
+    return rows
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_FUNCTION = {Kind.P3: "`p3`", Kind.REGULAR_TRIPLE: "`T_l`", Kind.TWO_COLOR_TRIPLE: "`p_{l,3}`"}
+
+
+def _readme_power(term) -> str:
+    """c*3^(x)*p^(y), as the README writes it."""
+    text = f"3^({term.x.text})" + ("" if term.y is None else f"*p^({term.y.text})")
+    return text if term.c == 1 else f"{term.c}*{text}"
+
+
+def _readme_row(identity) -> str:
+    """The README's table row for an identity whose congruence is not cataloged."""
+    case, sigma = identity.implies, verifier._SHIFT_SIGN[identity.implies.kind]
+    function = README_FUNCTION[case.kind]
+    if isinstance(case.ell, verifier.ResidueClass):
+        ell0, sigma = f"3^(2a+{case.ell.shift})", -2 * sigma
+        function += f", `l = +-{ell0} mod 3^(2a+{case.ell.shift + 1})`"
+    elif case.ell is not None:
+        ell0 = _readme_power(case.ell)
+        function += f", `l = {ell0}`"
+    shift = "" if not sigma else f" {'+' if sigma > 0 else '-'} " + (
+        ell0 if abs(sigma) == 1 else f"{abs(sigma)}*{ell0}")
+    B = f"({_readme_power(case.B)}{shift} + 1)/8"
+    exponent = case.exponent.text.replace("+", " + ").replace("-", " - ")
+    return f"| `{identity.id}` | {function} | `A = {_readme_power(case.A)}`, `B = {B}` | `{exponent}` |"
+
+
+class TestRecords:
+    """The records as linear forms: what the text reader refuses, a finite
+    proof that every shift is an integer, a pin of every instance, and the
+    README's tables read off the records."""
+
+    def test_forms(self):
+        assert verifier.Form("2a+2b+1")({"alpha": 1, "beta": 2}) == 7
+        assert verifier.Form("m+2k-1")({"k": 1, "m": 0}) == 1
+        assert verifier.Form("3")({}) == 3
+
+    @pytest.mark.parametrize("text", ["", "2a+", "+2a", "2a+2c", "2a + 1", "2ab", "a2", "2a+-1",
+                                      "3^(2a+1)", "2a+1)", "2*a"])
+    def test_text_not_read_whole_is_refused(self, text):
+        with pytest.raises(ValueError, match="is not a linear form in a, b, k and m"):
+            verifier.Form(text)
+        # a record with the typo fails when it is built, so at import
+        with pytest.raises(ValueError, match="is not a linear form"):
+            verifier._case("X", Kind.REGULAR_TRIPLE, "2a+1", "2a+2b+1", (2, text), "3a+2b+2")
+
+    def test_no_lambda_in_records(self):
+        for case in _records():
+            for value in (case.ell, case.A, case.B, case.exponent):
+                assert isinstance(value, (verifier.Term, verifier.ResidueClass, verifier.Form,
+                                          type(None))), case.id
+        assert all(isinstance(i.level, verifier.Form) for i in catalog()["identities"])
+
+    def test_shift_integral_at_every_parameter(self):
+        # 8 | B_num for every admissible parameter.  B_num is c 3^x p^y +
+        # sigma*ell0 + 1 with x, y and ell0's exponent linear forms; 3^x mod 8
+        # follows the parity of x alone, and p^y mod 8 follows p mod 8 and the
+        # parity of y.  So B_num mod 8 depends only on the parities of alpha,
+        # beta, k and m and on p mod 8, and one point per pattern, at the
+        # least values from k_min, stands for every parameter.
+        checked = 0
+        for case in _records():
+            depths = [n for n in case.param_names if n in ("alpha", "beta", "k", "m")]
+            for parities in itertools.product((0, 1), repeat=len(depths)):
+                P = {n: (case.k_min if n == "k" else 0) + bit for n, bit in zip(depths, parities)}
+                for p in P_MOD_8[case.prime_class] if "p" in case.param_names else (None,):
+                    assert case.B_num(P | {"p": p}) % 8 == 0, (case.id, P, p)
+                    checked += 1
+        assert len(_records()) == 40 and checked == 222
+
+    def test_catalog_pinned(self):
+        rows = _catalog_rows()
+        assert len(rows) == 13_952 and sum(row[2] != "error" for row in rows) == 5_930
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == CATALOG_SHA256
+
+    def test_readme_tables_match_records(self):
+        readme = README.read_text()
+        identities = catalog()["identities"]
+        linked = [i for i in identities if i.implies.id != i.id]
+        table = ["| identity | " + " | ".join(f"`{i.id}`" for i in linked) + " |",
+                 "|---|" + "---|" * len(linked),
+                 "| implies | " + " | ".join(f"`{i.implies.id}`" for i in linked) + " |"]
+        assert "\n".join(table) in readme
+        unlisted = [i for i in identities if i.implies.id == i.id]
+        assert [i.id for i in unlisted] == list(UNLISTED)
+        for identity in unlisted:
+            assert _readme_row(identity) in readme.splitlines()
 
 
 class TestVerifyCongruence:
