@@ -4,7 +4,7 @@ colored partition triple counting functions."""
 from .series import TruncatedSeries
 from .eta import EtaQuotientSpec, euler_series, eta_quotient, jacobi_cube, p_cap_series
 from .arith3 import pi3
-from .hmatrix import MTable, check_h_lemma, huff, m_entry
+from .hmatrix import check_h_lemma, huff, m_entry
 from .vectors import CoeffVector, Family, check_valuation_bounds, family_vector, valuation_bound, x_vector
 from .counts import CountingFunction, Kind, enumerate_count
 from .verifier import (SuiteConfig, catalog, instantiate, run_suite,
@@ -13,7 +13,7 @@ from .verifier import (SuiteConfig, catalog, instantiate, run_suite,
 __all__ = [
     "TruncatedSeries", "EtaQuotientSpec", "euler_series", "eta_quotient",
     "jacobi_cube", "p_cap_series", "pi3",
-    "MTable", "check_h_lemma", "huff", "m_entry",
+    "check_h_lemma", "huff", "m_entry",
     "CoeffVector", "Family", "check_valuation_bounds", "family_vector",
     "valuation_bound", "x_vector", "CountingFunction", "Kind",
     "enumerate_count", "SuiteConfig", "catalog", "instantiate", "run_suite",

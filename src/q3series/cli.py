@@ -68,6 +68,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_mtable(args) -> int:
+    if args.imax < 1 or args.jmax < 1:
+        raise ValueError("need imax >= 1 and jmax >= 1")
     rows = [[m_entry(i, j) for j in range(1, args.jmax + 1)] for i in range(1, args.imax + 1)]
     if args.format == "json":
         _emit_json({"imax": args.imax, "jmax": args.jmax,

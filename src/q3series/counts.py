@@ -19,7 +19,6 @@ series route.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,7 +53,6 @@ class CountingFunction:
 
 # -- the two engines ---------------------------------------------------
 
-_lock = threading.Lock()
 _inv_cube: list[int] = []  # coefficients of 1/E(q)^3, grown on demand
 _MOD = 3**modseries.STANDARD_EXPONENT
 _mod_base = np.ones(1, dtype=np.int64)  # 1/E(q)^3 mod _MOD, grown on demand, read-only
@@ -66,16 +64,15 @@ def _base(order: int, exact: bool):
     so no coefficient is solved twice.  The exact list grows in place; the
     reduced array is replaced by its extension and handed out read-only."""
     global _mod_base
-    with _lock:
-        if exact:
-            if len(_inv_cube) < order:
-                extend_monic_sparse(jacobi_cube_terms(1, order), (1,), _inv_cube, order)
-            return _inv_cube
-        if len(_mod_base) < order:
-            _mod_base = modseries.extend_monic_sparse_mod(jacobi_cube_terms(1, order), (1,),
-                                                          _mod_base, order, _MOD)
-            _mod_base.setflags(write=False)
-        return _mod_base
+    if exact:
+        if len(_inv_cube) < order:
+            extend_monic_sparse(jacobi_cube_terms(1, order), (1,), _inv_cube, order)
+        return _inv_cube
+    if len(_mod_base) < order:
+        _mod_base = modseries.extend_monic_sparse_mod(jacobi_cube_terms(1, order), (1,),
+                                                      _mod_base, order, _MOD)
+        _mod_base.setflags(write=False)
+    return _mod_base
 
 
 def _expand(fn: CountingFunction, base, order: int, mul, solve, *mod):

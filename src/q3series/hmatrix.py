@@ -25,44 +25,24 @@ them).  The recurrence alone gives the seeded 243, 243 and 6561 of rows
 
 from __future__ import annotations
 
-import threading
-
 from .eta import EtaQuotientSpec, eta_quotient
 from .series import TruncatedSeries
 
-
-class MTable:
-    """Lazily grown table of the huffing coefficients m(i, j), i, j >= 1.
-
-    Whole columns are appended under one lock, in order; a built column
-    is never changed, so reads of it are lock-free.
-    """
-
-    def __init__(self):
-        self._columns: list[list[int]] = [[9, 6, 1]]  # column j: rows j..3j
-        self._lock = threading.Lock()
-
-    def entry(self, i: int, j: int) -> int:
-        if i < 1 or j < 1:
-            raise ValueError("indices are 1-based")
-        if not j <= i <= 3 * j:
-            return 0
-        columns = self._columns
-        if j > len(columns):
-            with self._lock:
-                while len(columns) < j:
-                    padded = [0, 0, *columns[-1], 0, 0]
-                    columns.append([27 * a + 9 * b + c
-                                    for c, b, a in zip(padded, padded[1:], padded[2:])])
-        return columns[j - 1][i - j]
-
-
-_TABLE = MTable()
+_COLUMNS: list[list[int]] = [[9, 6, 1]]  # column j: rows j..3j, grown in order
 
 
 def m_entry(i: int, j: int) -> int:
-    """Entry m(i, j) of the shared table."""
-    return _TABLE.entry(i, j)
+    """Entry m(i, j), i, j >= 1, of the table; whole columns are appended
+    in order and a built column is never changed."""
+    if i < 1 or j < 1:
+        raise ValueError("indices are 1-based")
+    if not j <= i <= 3 * j:
+        return 0
+    while len(_COLUMNS) < j:
+        padded = [0, 0, *_COLUMNS[-1], 0, 0]
+        _COLUMNS.append([27 * a + 9 * b + c
+                         for c, b, a in zip(padded, padded[1:], padded[2:])])
+    return _COLUMNS[j - 1][i - j]
 
 
 def pmij_bound(i: int, j: int) -> int:

@@ -4,7 +4,7 @@ A series is stored densely: ``coeffs[i]`` is the coefficient of
 ``q**(offset + i)`` and every coefficient at an exponent below ``offset``
 is zero.  ``order`` is the truncation guarantee: coefficients are correct
 for all exponents strictly below it.  Values are immutable after
-construction, so series can be shared freely between threads.
+construction, so a cache can hand the same series to every caller.
 
 Truncation bookkeeping follows the usual rules for exact windows:
 

@@ -10,7 +10,7 @@ current level.  The band of the m-table makes every such sum finite and
 keeps all supports finite, roughly tripling per level (1, 3, 10, 30, ...).
 
 All levels come from one demand-driven chain per (family, alpha), kept
-in one dict under one lock.  The X chain is seeded by x_1 and its level
+in one dict.  The X chain is seeded by x_1 and its level
 k is x_k; level 1 of every other chain is the X level that seeds it.
 Each level is stored with the window it is exact on (the whole support
 once a demand reaches it), and a request for a longer window recomputes
@@ -27,7 +27,6 @@ assert the bound on every materialized entry.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -158,7 +157,6 @@ def _step_vector(prev: list[int], b: int, c: int, jcap: int) -> list[int]:
 
 
 _X_LEVELS = 8  # base vectors beyond x_8 are not needed at desk scale
-_lock = threading.Lock()
 # (family, alpha) -> [(entries, window), ...] for levels 1, 2, ...; entries
 # 1..window are exact (trailing zeros trimmed), window inf is the whole support
 _chains: dict[tuple[Family, int], list[tuple[list[int], float]]] = {}
@@ -173,8 +171,7 @@ def _level(family: Family, alpha: int, mu: int, need: float) -> tuple[list[int],
     (3c - b <= 0 for every step), and a level stepped from a whole
     support of length L is zero past 3L + 2 (b - c <= 2).  The X chain
     does not depend on alpha and starts from x_1 = (9,); level 1 of every
-    other chain is an X level, read to the same window.  The caller
-    holds _lock.
+    other chain is an X level, read to the same window.
     """
     if mu < 1:
         raise ValueError("level >= 1 required")
@@ -200,8 +197,7 @@ def _level(family: Family, alpha: int, mu: int, need: float) -> tuple[list[int],
 
 def _entries(family: Family, alpha: int, mu: int, jmax: int) -> tuple[int, ...]:
     """Entries 1..jmax of level mu of the (family, alpha) chain."""
-    with _lock:
-        vals, _ = _level(family, alpha, mu, jmax)
+    vals, _ = _level(family, alpha, mu, jmax)
     return tuple((vals + [0] * jmax)[:jmax])
 
 

@@ -33,7 +33,6 @@ import functools
 import json
 import math
 import re
-import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator
 
@@ -211,8 +210,9 @@ class CongruenceCase:
             p = params["p"]
             if self.prime_class == "3mod4" and (not is_prime(p) or p % 4 != 3):
                 raise ValueError(f"{self.id}: p={p} must be a prime congruent to 3 mod 4")
-            if self.prime_class == "nonresidue-3" and legendre(-3, p) != -1:
-                raise ValueError(f"{self.id}: -3 must be a quadratic nonresidue mod p={p}")
+            if self.prime_class == "nonresidue-3" and (not is_prime(p) or p == 2
+                                                       or legendre(-3, p) != -1):
+                raise ValueError(f"{self.id}: p={p} must be an odd prime with -3 a nonresidue mod p")
             if self.prime_class == "odd" and (not is_prime(p) or p == 2):
                 raise ValueError(f"{self.id}: p={p} must be an odd prime")
         fn = CountingFunction(self.kind, None if self.ell is None else self.ell(params))
@@ -496,7 +496,6 @@ def _quotient(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
 
 
 _RATIO = EtaQuotientSpec(1, ((3, 12), (1, -12)))  # q E(q^3)^12 / E(q)^12
-_powers_lock = threading.Lock()
 # window length -> [ratio^0, ratio^1, ...], each exact below that length
 _ratio_powers: dict[int, list[TruncatedSeries]] = {}
 
@@ -505,13 +504,12 @@ def _powers_of_ratio(terms: int, top: int) -> list[TruncatedSeries]:
     """ratio^0 .. ratio^top, exact below q^terms.
 
     One chain per window length grows on demand, one product per new
-    power, under _powers_lock; powers already built are reused.
+    power; powers already built are reused.
     """
-    with _powers_lock:
-        chain = _ratio_powers.setdefault(terms, [TruncatedSeries.one(terms)])
-        while len(chain) <= top:
-            chain.append(_quotient(_RATIO, terms) if len(chain) == 1 else chain[-1].mul(chain[1]))
-        return chain[:top + 1]
+    chain = _ratio_powers.setdefault(terms, [TruncatedSeries.one(terms)])
+    while len(chain) <= top:
+        chain.append(_quotient(_RATIO, terms) if len(chain) == 1 else chain[-1].mul(chain[1]))
+    return chain[:top + 1]
 
 
 def _weighted_quotient_window(vec, num: int, den: int, terms: int) -> list[int]:

@@ -87,6 +87,11 @@ class TestMTable:
         data = json.loads(out)
         assert data["rows"] == [["9", "0"], ["6", "243"]]
 
+    @pytest.mark.parametrize("imax, jmax", [(2, -1), (0, 3)])
+    def test_size_below_one_exits_2(self, capsys, imax, jmax):
+        code, out, err = run_cli(capsys, "mtable", "--imax", str(imax), "--jmax", str(jmax))
+        assert (code, out, err) == (2, "", "error: need imax >= 1 and jmax >= 1\n")
+
 
 class TestVector:
     def test_json_with_valuations(self, capsys):
@@ -153,6 +158,13 @@ class TestVerify:
     def test_identity_missing_parameter_names_identity(self, capsys):
         code, out, err = run_cli(capsys, "verify", "identity", "--id", "T11", "--alpha", "0")
         assert (code, out, err) == (2, "", "error: T11 needs parameters ['beta']\n")
+
+    @pytest.mark.parametrize("p", [9, 2, 7])  # not prime, even, -3 a square mod 7
+    def test_nonresidue_prime_check_names_case(self, capsys, p):
+        code, out, err = run_cli(capsys, "verify", "congruence", "--case", "MR16", "--alpha", "0",
+                                 "--beta", "0", "--p", str(p), "--k", "0", "--nmax", "5")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: MR16: p={p} ")
 
     def test_invalid_class_member_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "congruence", "--case", "MR7",

@@ -5,9 +5,10 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from q3series import hmatrix
 from q3series.arith3 import pi3
-from q3series.hmatrix import (MTable, check_h_lemma, huff, inv_t_power, inv_zeta_power,
-                              m_entry, pmij_bound)
+from q3series.hmatrix import (check_h_lemma, huff, inv_t_power, inv_zeta_power, m_entry,
+                              pmij_bound)
 from q3series.series import TruncatedSeries
 
 # the five displayed seed rows, all 25 entries
@@ -30,27 +31,32 @@ def plain_m(i, j):
     return 27 * plain_m(i - 1, j - 1) + 9 * plain_m(i - 2, j - 1) + plain_m(i - 3, j - 1)
 
 
-def rows(table, imax, jmax):
+def rows(imax, jmax):
     """Rows 1..imax of the table, each over columns 1..jmax."""
-    return [[table.entry(i, j) for j in range(1, jmax + 1)] for i in range(1, imax + 1)]
+    return [[m_entry(i, j) for j in range(1, jmax + 1)] for i in range(1, imax + 1)]
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """The shared table reset to its seed column for one test."""
+    monkeypatch.setattr(hmatrix, "_COLUMNS", [[9, 6, 1]])
 
 
 class TestTable:
-    def test_display_block(self):
-        assert rows(MTable(), 5, 5) == DISPLAY
+    def test_display_block(self, cold_table):
+        assert rows(5, 5) == DISPLAY
 
-    def test_matches_plain_recurrence(self):
-        table = MTable()
+    def test_matches_plain_recurrence(self, cold_table):
         for j in range(1, 301):  # column by column keeps the recursion shallow
             for i in range(1, 301):
-                assert table.entry(i, j) == plain_m(i, j), (i, j)
+                assert m_entry(i, j) == plain_m(i, j), (i, j)
 
-    def test_deep_entry_first(self):
-        table = MTable()
-        assert table.entry(250, 120) == plain_m(250, 120)
-        assert table.entry(4, 3) == 8748
-        assert rows(table, 5, 5) == DISPLAY
-        assert [table.entry(i, 40) for i in range(1, 200)] == [plain_m(i, 40) for i in range(1, 200)]
+    def test_deep_entry_first(self, cold_table):
+        assert m_entry(250, 120) == plain_m(250, 120)
+        assert len(hmatrix._COLUMNS) == 120
+        assert m_entry(4, 3) == 8748
+        assert rows(5, 5) == DISPLAY
+        assert [m_entry(i, 40) for i in range(1, 200)] == [plain_m(i, 40) for i in range(1, 200)]
 
     def test_rows_four_five_come_from_recurrence(self):
         assert m_entry(4, 2) == 27 * m_entry(3, 1) + 9 * m_entry(2, 1) + m_entry(1, 1) == 90
@@ -68,6 +74,11 @@ class TestTable:
         assert m_entry(3, 4) == 0       # above the diagonal
         assert m_entry(13, 4) == 0      # below the band floor
         assert m_entry(1, 1) == 9
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (-2, 3)])
+    def test_indices_are_one_based(self, i, j):
+        with pytest.raises(ValueError, match="indices are 1-based"):
+            m_entry(i, j)
 
     def test_fitted_against_huffing_directly(self):
         # solve for the row coefficients from the operator identity itself
@@ -87,35 +98,6 @@ class TestTable:
             for j in range(1, 15):
                 m = m_entry(i, j)
                 assert m == 0 or pi3(m) >= pmij_bound(i, j), (i, j)
-
-    def test_concurrent_fills_deterministic(self):
-        # threads racing to grow one table must append each column once
-        import sys
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
-
-        cells = [(i, j) for j in range(1, 41) for i in range(1, 121)]
-        expected = [plain_m(i, j) for i, j in cells]
-        orders = [cells[::-1], cells, cells[1::2] + cells[::2], cells[::-2] + cells[-2::-2]]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                shared = MTable()
-                start = threading.Barrier(2 * len(orders))
-
-                def read(order):
-                    start.wait(timeout=10)
-                    shared.entry(200, 100)  # every thread grows the table at once
-                    return dict(zip(order, (shared.entry(*ij) for ij in order)))
-
-                with ThreadPoolExecutor(max_workers=2 * len(orders)) as pool:
-                    futures = [pool.submit(read, order) for order in orders * 2]
-                    for f in futures:
-                        got = f.result(timeout=60)
-                        assert [got[ij] for ij in cells] == expected
-        finally:
-            sys.setswitchinterval(interval)
 
 
 class TestHuff:

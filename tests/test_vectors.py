@@ -142,25 +142,6 @@ class TestChain:
         assert long[:5] == short
         assert long[-1] == 0  # the whole support (264 entries) fits in 300
 
-    def test_concurrent_requests_match_serial(self, cold_chains):
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
-
-        # windows that grow and shrink on the same chains, X built on demand
-        requests = [(fam, alpha, mu, jmax) for fam in (Family.Z, Family.R, Family.W)
-                    for alpha in (0, 1) for mu in (3, 1, 4, 2) for jmax in (4, 40, 12)]
-        serial = [family_vector(*r).values for r in requests]
-        vectors._chains.clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(family_vector, *r) for r in requests]
-                got = [f.result(timeout=60).values for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == serial
-
 
 class TestBoundFormula:
     def test_examples(self):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from q3series import cli, counts, modseries, verifier
+from q3series import cli, counts, hmatrix, modseries, vectors, verifier
 from q3series.counts import Kind
 from q3series.eta import EtaQuotientSpec, eta_quotient
 from q3series.report import FAIL, PASS, SKIPPED, Report
@@ -637,6 +637,22 @@ class TestWeightedQuotientWindow:
         assert [grown[1].coeff(e) for e in range(30)] == [ratio.coeff(e) for e in range(30)]
 
 
+@pytest.fixture
+def cold_state(monkeypatch):
+    """Every structure the library grows on demand, reset for one test: the
+    exact and reduced bases, the m-table, the vector chains, the ratio
+    powers and the two lru_caches."""
+    mod_base = np.ones(1, dtype=np.int64)
+    mod_base.setflags(write=False)
+    monkeypatch.setattr(counts, "_inv_cube", [])
+    monkeypatch.setattr(counts, "_mod_base", mod_base)
+    monkeypatch.setattr(hmatrix, "_COLUMNS", [[9, 6, 1]])
+    monkeypatch.setattr(vectors, "_chains", {})
+    monkeypatch.setattr(verifier, "_ratio_powers", {})
+    verifier._quotient.cache_clear()
+    verifier._rhs_window.cache_clear()
+
+
 class TestSuite:
     CFG = dict(alphas=(0,), betas=(0,), n_max=30, n_max_small=40, priors_betas=(0,),
                conjecture_ms=(0,), identity_terms=10, class_reps_per_sign=1,
@@ -655,6 +671,21 @@ class TestSuite:
         golden = json.loads(GOLDEN.read_text())[name]
         suite = run_suite(SuiteConfig(**dict(self.CFG, **thresholds)))
         assert json.dumps(json.loads(suite_json(suite)), sort_keys=True) == json.dumps(golden, sort_keys=True)
+
+    @pytest.mark.parametrize("name, thresholds", [
+        ("default", {}),
+        ("reduced", {"exact_threshold": 200, "identity_exact_cap": 200}),
+    ])
+    def test_growth_order_does_not_change_report(self, cold_state, monkeypatch, name, thresholds):
+        # reversed, deep reads come before shallow ones, so every structure
+        # grows from cold in an order the golden run never used
+        jobs = verifier._suite_jobs
+        monkeypatch.setattr(verifier, "_suite_jobs", lambda cfg: jobs(cfg)[::-1])
+        golden = json.loads(GOLDEN.read_text())[name]
+        suite = run_suite(SuiteConfig(**dict(self.CFG, **thresholds)))
+        assert json.dumps(json.loads(suite_json(suite)), sort_keys=True) == json.dumps(golden, sort_keys=True)
+        assert len(hmatrix._COLUMNS) > 1 and vectors._chains and verifier._ratio_powers
+        assert len(counts._inv_cube) > 1 and (name == "default" or len(counts._mod_base) > 1)
 
     def test_include_filter(self):
         suite = run_suite(SuiteConfig(**dict(self.CFG, include=("MR1", "H1"))))
@@ -698,6 +729,14 @@ class TestSuite:
         errors = [r for r in suite.reports if "error" in r.extras]
         assert errors and all(r.status == SKIPPED for r in errors)
         assert all(r.status == PASS for r in suite.by_case("MR1"))
+        assert suite.status == FAIL
+
+    def test_nonresidue_error_report_names_case(self):
+        cfg = SuiteConfig.from_json('{"primes_nonresidue": [9, 2], "include": ["MR16"], '
+                                    '"prime_n_max": 10}')
+        suite = run_suite(cfg)
+        errors = [r.extras["error"] for r in suite.reports]
+        assert errors and all(e.startswith(("MR16: p=9 ", "MR16: p=2 ")) for e in errors)
         assert suite.status == FAIL
 
     def test_conjecture_error_report_fails_suite(self):
