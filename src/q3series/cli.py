@@ -81,6 +81,8 @@ def _cmd_mtable(args) -> int:
 
 
 def _cmd_vector(args) -> int:
+    if args.alpha < 0 or args.jmax < 1:
+        raise ValueError("need alpha >= 0 and jmax >= 1")
     family = Family(args.family)
     vec = family_vector(family, args.alpha, args.mu, args.jmax)
     entries = []

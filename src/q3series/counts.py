@@ -56,6 +56,7 @@ class CountingFunction:
 _inv_cube: list[int] = []  # coefficients of 1/E(q)^3, grown on demand
 _MOD = 3**modseries.STANDARD_EXPONENT
 _mod_base = np.ones(1, dtype=np.int64)  # 1/E(q)^3 mod _MOD, grown on demand, read-only
+_mod_base.setflags(write=False)
 
 
 def _base(order: int, exact: bool):

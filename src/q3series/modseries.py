@@ -103,14 +103,6 @@ def _solve_blocked(gaps, coeffs, b, mod, k=0, block=None):
     return b
 
 
-def _mul_py(dense, gaps, coeffs, mod):
-    n = dense.shape[0]
-    out = np.zeros(n, dtype=np.int64)
-    for g, c in zip(gaps.tolist(), coeffs.tolist()):
-        out[g:] += c * dense[: n - g]
-    return out % mod
-
-
 def _prepare(terms, mod):
     gaps = np.array([g for g, _ in terms], dtype=np.int64)
     coeffs = np.array([c % mod for _, c in terms], dtype=np.int64)
@@ -158,4 +150,7 @@ def mul_sparse_mod(dense: np.ndarray, terms, order: int, mod: int) -> np.ndarray
     gaps, coeffs = _prepare([t for t in terms if t[0] < order], mod)
     d = np.zeros(order, dtype=np.int64)
     d[: min(len(dense), order)] = dense[: min(len(dense), order)] % mod
-    return _mul_py(d, gaps, coeffs, mod)
+    out = np.zeros(order, dtype=np.int64)
+    for g, c in zip(gaps.tolist(), coeffs.tolist()):
+        out[g:] += c * d[: order - g]
+    return out % mod

@@ -120,20 +120,14 @@ class TruncatedSeries:
         return TruncatedSeries(offset, coeffs, order)
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        """Product on the common window, by `mul_sparse` on the nonzero terms of `self`."""
         offset = self.offset + other.offset
         order = min(self.order + other.offset, other.order + self.offset)
         n = order - offset
         if n <= 0:
             return TruncatedSeries.zero(order)
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i >= n:
-                continue
-            lim = n - i
-            for j, b in enumerate(other.coeffs[:lim]):
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(offset, out, order)
+        terms = [(i, a) for i, a in enumerate(self.coeffs) if a]
+        return TruncatedSeries(offset, mul_sparse(other.coeffs, terms, n), order)
 
     def scale(self, k: int) -> "TruncatedSeries":
         return TruncatedSeries(self.offset, [k * c for c in self.coeffs], self.order)
@@ -228,29 +222,19 @@ class TruncatedSeries:
 #
 # The expensive expansions in this package are all of the form
 # "dense series times or divided by a very sparse one" (theta-style gap
-# sequences).  These two helpers are the exact-integer work horses; the
-# reduced-modulus twins live in modseries.
+# sequences).  These two kernels do every exact product and solve, dense
+# ones and the m-table's columns included; the reduced twins live in modseries.
 
 
 def mul_sparse(dense: Sequence[int], terms: Sequence[tuple[int, int]], order: int) -> list[int]:
-    """Convolve a dense coefficient list with sparse (gap, coeff) terms."""
+    """Convolve a dense coefficient list with sparse (gap, coeff) terms, gaps ascending."""
     out = [0] * order
     for g, c in terms:
         if g >= order:
             break
-        lim = order - g
-        if c == 1:
-            for i, d in enumerate(dense[:lim]):
-                if d:
-                    out[i + g] += d
-        elif c == -1:
-            for i, d in enumerate(dense[:lim]):
-                if d:
-                    out[i + g] -= d
-        else:
-            for i, d in enumerate(dense[:lim]):
-                if d:
-                    out[i + g] += c * d
+        for i, d in enumerate(dense[:order - g], start=g):
+            if d:
+                out[i] += c * d
     return out
 
 

@@ -103,6 +103,12 @@ class TestVector:
         # beyond the support the entries vanish: their valuation is null, not a number
         assert data["entries"][3] == {"j": 4, "value": "0", "valuation": None, "bound": 15}
 
+    @pytest.mark.parametrize("alpha, jmax", [(0, 0), (0, -1), (-1, 6)])
+    def test_negative_alpha_or_jmax_below_one_exits_2(self, capsys, alpha, jmax):
+        code, out, err = run_cli(capsys, "vector", "--family", "r", "--alpha", str(alpha),
+                                 "--mu", "2", "--jmax", str(jmax))
+        assert (code, out, err) == (2, "", "error: need alpha >= 0 and jmax >= 1\n")
+
 
 class TestVerify:
     def test_congruence_pass_exit_0(self, capsys):

@@ -1,11 +1,17 @@
 """Counting functions: series route against the enumeration oracle."""
 
+import json
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import q3series
 from q3series import counts, modseries
 from q3series.arith3 import pi3
 from q3series.counts import (CountingFunction, Kind, count_values, count_values_mod,
@@ -94,6 +100,32 @@ class TestReducedRoute:
         assert count_values_mod(regular, 10).tolist() == before
         assert values_at(CountingFunction(Kind.P3), [1], False) == [3]
 
+    def test_seed_is_read_only(self):
+        # the first growth replaces the order-1 seed, so only a fresh
+        # interpreter still holds it
+        child = (
+            "import json\n"
+            "from q3series import counts\n"
+            "from q3series.counts import CountingFunction, Kind, count_values_mod, values_at\n"
+            "p3 = CountingFunction(Kind.P3)\n"
+            "refused = []\n"
+            "for arr in (counts._base(1, False), count_values_mod(p3, 1)):\n"
+            "    try:\n"
+            "        arr[0] = 5\n"
+            "        refused.append(False)\n"
+            "    except ValueError:\n"
+            "        refused.append(True)\n"
+            "seed = len(counts._mod_base)\n"
+            "read = values_at(p3, [0, 9], False)\n"
+            "print(json.dumps([refused, seed, read, len(counts._mod_base)]))\n"
+        )
+        src = str(Path(q3series.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        p3_9 = count_values(CountingFunction(Kind.P3), 10)[9] % counts._MOD
+        assert json.loads(run.stdout) == [[True, True], 1, [1, p3_9], 10]
+
 
 class TestPointValues:
     """values_at against the full expansion of each engine."""
@@ -138,8 +170,10 @@ class TestPointValues:
             monkeypatch.setattr(owner, name, spy)
             return starts
 
+        seed = np.ones(1, dtype=np.int64)
+        seed.setflags(write=False)
         monkeypatch.setattr(counts, "_inv_cube", [])
-        monkeypatch.setattr(counts, "_mod_base", np.ones(1, dtype=np.int64))
+        monkeypatch.setattr(counts, "_mod_base", seed)
         engines = {True: spied(counts, "extend_monic_sparse"),
                    False: spied(modseries, "extend_monic_sparse_mod")}
         full = solve_monic_sparse(jacobi_cube_terms(1, 91), [1], 91)

@@ -1,7 +1,7 @@
 """Truncated-series arithmetic: frozen examples plus randomized ring laws."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from q3series.series import TruncatedSeries, mul_sparse, solve_monic_sparse
 
@@ -206,15 +206,50 @@ def test_rescale_then_substitute_matches_in_place_extraction(a):
     assert rescaled.substitute_power(3).agrees_with(in_place, upto=in_place.order)
 
 
+def schoolbook(a, b, n):
+    """First n coefficients of the product of two coefficient lists,
+    out[k] = sum(a[i] * b[k - i]), written without the package's kernels."""
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]
+
+
 def test_sparse_kernels_match_dense_ops():
     from q3series.eta import euler_terms
 
     n = 60
     terms = euler_terms(1, n)
     dense = list(range(1, n + 1))
-    by_kernel = mul_sparse(dense, terms, n)
-    e = TruncatedSeries.from_terms(terms, n)
-    d = TruncatedSeries(0, dense, n)
-    assert by_kernel == list(e.mul(d).coeffs)
+    sparse = TruncatedSeries.from_terms(terms, n).coeffs
+    assert mul_sparse(dense, terms, n) == schoolbook(sparse, dense, n)
     solved = solve_monic_sparse(terms, dense, n)
     assert mul_sparse(solved, terms, n) == dense
+
+
+zero_heavy = st.lists(st.one_of(st.just(0), st.integers(-9, 9)), max_size=10)
+
+
+@settings(max_examples=100)
+@given(zero_heavy, st.integers(-4, 4), zero_heavy, st.integers(-4, 4))
+@example([0, 0, 5], -2, [1, -1, 0, 2], -1)  # the window starts with zeros
+@example([3], -3, [], 1)                    # an empty window truncates to nothing
+def test_product_matches_schoolbook(a, a_off, b, b_off):
+    x = TruncatedSeries(a_off, a, a_off + len(a))
+    y = TruncatedSeries(b_off, b, b_off + len(b))
+    prod = x.mul(y)
+    assert prod.order == min(x.order + b_off, y.order + a_off)
+    want = schoolbook(a, b, max(prod.order - a_off - b_off, 0))
+    assert [prod.coeff(e) for e in range(a_off + b_off, prod.order)] == want
+
+
+coefficient = st.one_of(st.sampled_from([-1, 1]), st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=30),
+       st.dictionaries(st.integers(0, 40), coefficient, max_size=8),
+       st.integers(1, 30))
+@example([1, 2, 3], {0: 1, 2: -1, 3: 7, 5: 2}, 3)  # a gap at order, then one past it
+@example([4, 0, -5, 6], {1: -1, 5: 2}, 6)          # dense shorter than order
+def test_mul_sparse_matches_schoolbook(dense, by_gap, order):
+    terms = sorted(by_gap.items())
+    sparse = [by_gap.get(g, 0) for g in range(max(by_gap, default=-1) + 1)]
+    assert mul_sparse(dense, terms, order) == schoolbook(sparse, dense, order)

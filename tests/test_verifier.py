@@ -846,7 +846,9 @@ class TestSuiteReadsPoints:
         """A cold reduced base; every sparse kernel call is logged as
         (kernel, l, order, read), read being the exact (fn, deepest index)
         that values_at is reading, or None."""
-        monkeypatch.setattr(counts, "_mod_base", np.ones(1, dtype=np.int64))
+        seed = np.ones(1, dtype=np.int64)
+        seed.setflags(write=False)
+        monkeypatch.setattr(counts, "_mod_base", seed)
         calls, reading, values_at = [], [None], verifier.values_at
 
         def logged(name, kernel, terms_at):
