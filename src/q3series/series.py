@@ -252,19 +252,20 @@ def extend_monic_sparse(terms: Sequence[tuple[int, int]], rhs: Sequence[int],
     in place to `order` by the back-substitution of `solve_monic_sparse`.
 
     Each new coefficient reads only earlier ones, so a solution is extended
-    without solving it again.
+    without solving it again.  After the constant term the gaps of `terms`
+    must be positive and ascending: while b[n] is solved, b holds n entries,
+    so b[-g] is b[n - g], and the terms with g <= n are a prefix that grows
+    only where n reaches the next gap.
     """
     if not terms or terms[0] != (0, 1):
         raise ValueError("sparse operand must be monic with constant term 1")
-    tail = [(g, c) for g, c in terms[1:] if g < order]
+    tail = [(-g, -c) for g, c in terms[1:] if g < order]
     nrhs = len(rhs)
-    for n in range(len(b), order):
-        acc = rhs[n] if n < nrhs else 0
-        for g, c in tail:
-            if g > n:
-                break
-            bb = b[n - g]
-            if bb:
-                acc -= c * bb
-        b.append(acc)
+    for k, stop in enumerate([-g for g, _ in tail] + [order]):
+        live = tail[:k]  # the terms with g <= n, for n from the previous stop to this one
+        for n in range(len(b), stop):
+            acc = rhs[n] if n < nrhs else 0
+            for g, c in live:
+                acc += c * b[g]
+            b.append(acc)
     return b

@@ -435,6 +435,8 @@ def verify_congruence(case_id: str, params: dict, n_max: int,
 
 def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Report:
     """The congruence check of `verify_congruence`, on a resolved instance."""
+    if n_max < 0:
+        raise ValueError(f"{inst.case}: n_max={n_max} must be at least 0")
     exact = inst.progression.index(n_max) < exact_threshold
     ns = [n for n in range(n_max + 1) if inst.n_filter is None or inst.n_filter(n)]
     values = values_at(inst.fn, map(inst.progression.index, ns), exact)
@@ -470,10 +472,10 @@ def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], exac
     Everything is read modulo 3^exponent.  The fitted constant and
     whether the bare (-1)^n (2n+1) branch (c = 1) also holds are
     reported, as is the largest exponent at which the branch structure
-    survives.  An empty range fits no constant: both read null.
+    survives.
     """
     mod = 3**inst.exponent
-    const = values[0] if values else None
+    const = values[0]
     wants = [const * (2 * n + 1) * (-1 if n % 2 else 1) if _triangular_index(n) is not None else 0
              for n in range(len(values))]
     valuations, holds, hit_cap = _scan([v - w for v, w in zip(values, wants)], not exact)
@@ -483,8 +485,7 @@ def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], exac
                     if val is not None and val < inst.exponent]
     rep.extras = _extras(inst.fn, inst.progression, modulus_exponent=inst.exponent,
                          engine="exact" if exact else _REDUCED_ENGINE,
-                         fitted_constant=None if const is None else str(const % mod),
-                         plain_branch_holds=None if const is None else const % mod == 1,
+                         fitted_constant=str(const % mod), plain_branch_holds=const % mod == 1,
                          branch_holds_to_exponent=holds, exponent_capped=hit_cap)
     return _settle(rep, hit_cap, inst.exponent)
 
@@ -559,6 +560,8 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     """
     identity, inst = _identity_instance(identity_id, params)
     fn, prog, lemma_e, params = inst.fn, inst.progression, inst.exponent, inst.params
+    if terms < 1:
+        raise ValueError(f"{identity_id}: terms={terms} must be at least 1")
     if mode not in IDENTITY_MODES:
         raise ValueError(f"unknown identity mode {mode!r}; expected one of {IDENTITY_MODES}")
     exact = mode == "exact" or (mode == "auto" and prog.index(terms - 1) < exact_order_cap)
@@ -632,6 +635,9 @@ def _is_int(v) -> bool:
 
 _DEPTH_GRIDS = frozenset({"alphas", "betas", "prime_alphas", "prime_betas", "prime_ks",
                           "priors_betas", "conjecture_ks", "conjecture_ms"})
+# integer fields with a least value: the index depths from 0, the counts from 1
+_LEAST = {"n_max": 0, "n_max_small": 0, "prime_n_max": 0, "priors_n_max": 0,
+          "conjecture_n_max": 0, "class_reps_per_sign": 1, "identity_terms": 1}
 
 
 @dataclass(frozen=True)
@@ -641,8 +647,10 @@ class SuiteConfig:
     Construction checks every field, a ValueError naming a malformed one.
     Grids are lists or tuples (stored as tuples) of integers, those of
     alpha, beta, k and m values from 0; `include` is None or catalog ids;
-    every other field is an integer.  A config is frozen: change one with
-    `dataclasses.replace`, which checks the result again.
+    every other field is an integer, the index depths from 0 and
+    `class_reps_per_sign` and `identity_terms` from 1.  A config is
+    frozen: change one with `dataclasses.replace`, which checks the
+    result again.
     """
 
     alphas: tuple[int, ...] = (0, 1)
@@ -679,6 +687,8 @@ class SuiteConfig:
                     isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v))
             else:
                 want, ok = "an integer", _is_int(v)
+                if ok and f.name in _LEAST:
+                    want, ok = f"an integer from {_LEAST[f.name]}", v >= _LEAST[f.name]
             if not ok:
                 raise ValueError(f"suite config field {f.name!r} must be {want}, not {v!r}")
             if isinstance(v, list):

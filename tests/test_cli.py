@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -130,12 +131,11 @@ class TestVerify:
                                "--k", "1", "--m", "0", "--nmax", "30")
         assert code == 0
 
-    def test_branch_case_empty_range_exit_0(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "congruence", "--case", "MR10", "--alpha", "0",
-                               "--beta", "0", "--ell", "3", "--nmax", "-1")
-        data = json.loads(out)
-        assert code == 0 and data["status"] == "SKIPPED" and data["checked"] == 0
-        assert data["fitted_constant"] is None
+    def test_branch_case_negative_range_exit_2(self, capsys):
+        # an empty range would fit no constant; a negative depth is refused instead
+        code, out, err = run_cli(capsys, "verify", "congruence", "--case", "MR10", "--alpha", "0",
+                                 "--beta", "0", "--ell", "3", "--nmax", "-1")
+        assert (code, out, err) == (2, "", "error: MR10: n_max=-1 must be at least 0\n")
 
     def test_identity(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "identity", "--id", "H1",
@@ -149,11 +149,14 @@ class TestVerify:
         ("congruence", "--case", "T1", "--beta", "-1"),  # would FAIL outside the family
         ("congruence", "--case", "MR4", "--alpha", "0", "--beta", "0", "--p", "7", "--k", "-1"),
         ("identity", "--id", "T11", "--alpha", "-1", "--beta", "0"),
+        ("congruence", "--case", "MR1", "--alpha", "0", "--beta", "0", "--nmax", "-1"),
+        ("identity", "--id", "H1", "--alpha", "0", "--terms", "0"),
     ])
     def test_negative_parameter_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and err.endswith("=-1 must be at least 0\n")
+        assert len(err.splitlines()) == 1
+        assert re.fullmatch(r"error: \w+: \w+=(-1 must be at least 0|0 must be at least 1)\n", err)
 
     @pytest.mark.parametrize("case_id", ["BC1", "BC2"])
     def test_open_statement_k_0_exit_2(self, capsys, case_id):
@@ -221,6 +224,8 @@ class TestSuiteConfigErrors:
         '{"alphas": [-1]}',       # would write 3^-1 as an ell
         '{"prime_ks": [0, -1]}',
         '{"include": ["MR1x"]}',  # would run an empty suite
+        '{"n_max": -1}',          # would check nothing and read PASS
+        '{"class_reps_per_sign": 0}',  # would run no job and read SKIPPED
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, doc):
         path = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from q3series.series import TruncatedSeries, mul_sparse, solve_monic_sparse
+from q3series.series import TruncatedSeries, extend_monic_sparse, mul_sparse, solve_monic_sparse
 
 
 def geometric(order):
@@ -212,6 +212,15 @@ def schoolbook(a, b, n):
     return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]
 
 
+def back_substitution(terms, rhs, n):
+    """First n coefficients of b with a * b = rhs, a monic with (gap, coeff)
+    terms, one position at a time without the package's kernels."""
+    b = []
+    for k in range(n):
+        b.append((rhs[k] if k < len(rhs) else 0) - sum(c * b[k - g] for g, c in terms[1:] if g <= k))
+    return b
+
+
 def test_sparse_kernels_match_dense_ops():
     from q3series.eta import euler_terms
 
@@ -253,3 +262,34 @@ def test_mul_sparse_matches_schoolbook(dense, by_gap, order):
     terms = sorted(by_gap.items())
     sparse = [by_gap.get(g, 0) for g in range(max(by_gap, default=-1) + 1)]
     assert mul_sparse(dense, terms, order) == schoolbook(sparse, dense, order)
+
+
+big = st.integers(2**64, 2**80)
+signed = st.one_of(st.integers(-9, 9), big, big.map(lambda v: -v))
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.integers(1, 40), signed, max_size=8),
+       st.lists(st.one_of(st.just(0), signed), max_size=45),
+       st.integers(0, 40), st.integers(0, 40), st.lists(st.integers(0, 40), max_size=2))
+@example({1: -1}, [1], 12, 0, [])                     # 1/(1 - q): all ones
+@example({3: 2**70, 5: -7}, [0, 0, 9], 20, 4, [9, 4])  # a cut below the prefix is a no-op
+def test_extend_monic_sparse_matches_back_substitution(by_gap, rhs, order, start, cuts):
+    # grown from a prefix of `start` coefficients in one to three pieces
+    terms = [(0, 1)] + sorted(by_gap.items())
+    want = back_substitution(terms, rhs, max(start, *cuts, order))
+    b = want[:start]
+    for cut in [*cuts, order]:
+        assert extend_monic_sparse(terms, rhs, b, cut) is b
+    assert b == want
+
+
+def test_extend_monic_sparse_edges():
+    terms = [(0, 1), (2, -3)]
+    b = [1, 2, 3]
+    assert extend_monic_sparse(terms, [5], b, 3) is b and b == [1, 2, 3]
+    assert extend_monic_sparse(terms, [5], b, 1) is b and b == [1, 2, 3]
+    assert solve_monic_sparse(terms, [5], 0) == []
+    for head in ([], [(0, 2)], [(1, 1)], [(0, -1), (1, 1)]):
+        with pytest.raises(ValueError, match="monic"):
+            extend_monic_sparse(head, [1], [], 4)

@@ -432,15 +432,14 @@ class TestBranchCase:
         rep = verify_congruence("MR10", {"alpha": 0, "beta": 0, "ell": 6}, 30)
         assert rep.extras["fitted_constant"] == "9"
 
-    def test_empty_range_skips(self):
-        rep = verify_congruence("MR10", {"alpha": 0, "beta": 0, "ell": 3}, -1)
-        assert rep.status == SKIPPED and rep.checked == 0 and rep.failures == []
-        assert rep.extras["fitted_constant"] is None
-        assert rep.extras["plain_branch_holds"] is None
+    def test_negative_range_refused(self):
+        # a range of no index would fit no constant and report SKIPPED
+        with pytest.raises(ValueError, match=r"^MR10: n_max=-1 must be at least 0$"):
+            verify_congruence("MR10", {"alpha": 0, "beta": 0, "ell": 3}, -1)
 
-    def test_empty_range_in_suite(self):
-        suite = run_suite(SuiteConfig(**dict(TestSuite.CFG, include=("MR10",), n_max_small=-1)))
-        assert suite.reports and all(r.status == SKIPPED for r in suite.reports)
+    def test_negative_range_refused_in_suite_config(self):
+        with pytest.raises(ValueError, match="'n_max_small' must be an integer from 0, not -1"):
+            SuiteConfig(**dict(TestSuite.CFG, include=("MR10",), n_max_small=-1))
 
 
 class TestIdentities:
@@ -476,6 +475,16 @@ class TestIdentities:
         # an unknown id is named before an unknown mode
         with pytest.raises(KeyError, match="unknown identity 'T99'"):
             verify_gf_identity("T99", {"alpha": 0}, 16, "Auto")
+
+    @pytest.mark.parametrize("terms", [0, -3])
+    def test_empty_window_rejected_before_expansion(self, monkeypatch, terms):
+        def expanded(*args):
+            raise AssertionError("expanded before the window was checked")
+
+        for name in ("values_at", "_rhs_window"):
+            monkeypatch.setattr(verifier, name, expanded)
+        with pytest.raises(ValueError, match=rf"^H1: terms={terms} must be at least 1$"):
+            verify_gf_identity("H1", {"alpha": 0}, terms)
 
     def test_capped_difference_valuation(self):
         # H1 holds exactly, so mod 3^15 every difference reads zero: 15 is a lower bound
@@ -702,6 +711,13 @@ class TestSuite:
         ("prime_ks", (0, -1), "'prime_ks' must be a list of integers from 0"),
         ("betas", (0, True), "'betas' must be a list of integers"),
         ("n_max", 10.5, "'n_max' must be an integer"),
+        ("n_max", -1, "'n_max' must be an integer from 0, not -1"),
+        ("n_max_small", -1, "'n_max_small' must be an integer from 0, not -1"),
+        ("prime_n_max", -1, "'prime_n_max' must be an integer from 0, not -1"),
+        ("priors_n_max", -1, "'priors_n_max' must be an integer from 0, not -1"),
+        ("conjecture_n_max", -1, "'conjecture_n_max' must be an integer from 0, not -1"),
+        ("class_reps_per_sign", 0, "'class_reps_per_sign' must be an integer from 1, not 0"),
+        ("identity_terms", 0, "'identity_terms' must be an integer from 1, not 0"),
     ])
     def test_config_checked_at_construction(self, field, value, message):
         with pytest.raises(ValueError, match=message):
