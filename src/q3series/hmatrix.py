@@ -53,7 +53,7 @@ def huff(a: TruncatedSeries) -> TruncatedSeries:
 
     Negative exponents participate on the same terms as positive ones.
     """
-    return a.extract_progression(3, 0, rescale=False)
+    return a.extract_progression(3, 0)
 
 
 def _lhs(qpow: int, num: int, den: int) -> EtaQuotientSpec:  # q^qpow E(q^3)^num / E(q)^den
@@ -62,16 +62,6 @@ def _lhs(qpow: int, num: int, den: int) -> EtaQuotientSpec:  # q^qpow E(q^3)^num
 
 def _rhs(qpow: int, num: int, den: int) -> EtaQuotientSpec:  # q^qpow E(q^9)^num / E(q^3)^den
     return EtaQuotientSpec(qpow, ((9, num), (3, -den)))
-
-
-def inv_zeta_power(i: int, order: int) -> TruncatedSeries:
-    """(1/zeta)^i = q^i * E(q^9)^{3i} / E(q)^{3i}, valuation i."""
-    return eta_quotient(EtaQuotientSpec(i, ((9, 3 * i), (1, -3 * i))), order)
-
-
-def inv_t_power(j: int, order: int) -> TruncatedSeries:
-    """(1/T)^j = q^{3j} * E(q^9)^{12j} / E(q^3)^{12j}, valuation 3j."""
-    return eta_quotient(EtaQuotientSpec(3 * j, ((9, 12 * j), (3, -12 * j))), order)
 
 
 # Each structural identity: huff of one quotient equals an m-weighted sum of

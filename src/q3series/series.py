@@ -188,34 +188,14 @@ class TruncatedSeries:
                 coeffs[r * i] = c
         return TruncatedSeries(offset, coeffs, order)
 
-    def extract_progression(self, r: int, s: int, rescale: bool) -> "TruncatedSeries":
-        """Keep coefficients at exponents congruent to s mod r.
-
-        With ``rescale`` the exponent r*n+s maps to n (the power of q and
-        the shift s are divided out); otherwise exponents are kept as-is,
-        matching the huffing-style operator.
-        """
+    def extract_progression(self, r: int, s: int) -> "TruncatedSeries":
+        """Keep coefficients at exponents congruent to s mod r, exponents
+        kept as they are (the huffing-style operator)."""
         if r < 1 or not 0 <= s < r:
             raise ValueError("need r >= 1 and 0 <= s < r")
-        if not rescale:
-            coeffs = [c if (self.offset + i - s) % r == 0 else 0
-                      for i, c in enumerate(self.coeffs)]
-            return TruncatedSeries(self.offset, coeffs, self.order)
-        # first represented exponent congruent to s (mod r)
-        first = self.offset + ((s - self.offset) % r)
-        new_offset = (first - s) // r
-        new_order = -((-(self.order - s)) // r)  # ceil((order - s) / r)
-        n = new_order - new_offset
-        if n <= 0:
-            return TruncatedSeries.zero(new_order)
-        coeffs = [0] * n
-        e = first
-        k = new_offset
-        while e < self.order:
-            coeffs[k - new_offset] = self.coeffs[e - self.offset]
-            e += r
-            k += 1
-        return TruncatedSeries(new_offset, coeffs, new_order)
+        coeffs = [c if (self.offset + i - s) % r == 0 else 0
+                  for i, c in enumerate(self.coeffs)]
+        return TruncatedSeries(self.offset, coeffs, self.order)
 
 
 # -- sparse kernels ----------------------------------------------------

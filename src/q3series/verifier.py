@@ -42,7 +42,7 @@ from .eta import EtaQuotientSpec, eta_quotient
 from .modseries import STANDARD_EXPONENT
 from .report import FAIL, PASS, SKIPPED, Report, dumps
 from .series import TruncatedSeries
-from .vectors import Family, family_vector, x_vector
+from .vectors import Family, family_vector
 
 _RESIDUE_CAP = STANDARD_EXPONENT  # valuations read off residues are exact below this
 
@@ -435,8 +435,11 @@ def verify_congruence(case_id: str, params: dict, n_max: int,
 
 def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Report:
     """The congruence check of `verify_congruence`, on a resolved instance."""
-    if n_max < 0:
-        raise ValueError(f"{inst.case}: n_max={n_max} must be at least 0")
+    # a branch case fits its constant at n = 0, and a prime filter drops n = 0,
+    # so there n = 0 alone checks nothing
+    least = 1 if inst.branch or inst.n_filter else 0
+    if n_max < least:
+        raise ValueError(f"{inst.case}: n_max={n_max} must be at least {least}")
     exact = inst.progression.index(n_max) < exact_threshold
     ns = [n for n in range(n_max + 1) if inst.n_filter is None or inst.n_filter(n)]
     values = values_at(inst.fn, map(inst.progression.index, ns), exact)
@@ -590,42 +593,6 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     return _settle(rep, hit_cap, lemma_e)
 
 
-def probe_seed_reading(identity_id: str, alpha: int, terms: int = 20) -> dict:
-    """Settle the level-one seed of the one-step families empirically.
-
-    Their stated seed is the odd base vector x_{2 alpha + 1} even though
-    the function parameter uses the even power 3^{2 alpha + 2}; the even
-    base vector x_{2 alpha + 2} is the plausible alternative.  This
-    compares the identity window under both seeds at level one and
-    reports which reading reproduces the progression exactly.
-    """
-    if identity_id not in ("T12", "T22"):
-        raise ValueError("the seed question concerns T12 and T22 only")
-    identity, inst = _identity_instance(identity_id, {"alpha": alpha, "beta": 0})
-    assert identity.level(inst.params) == 1
-    lhs = values_at(inst.fn, map(inst.progression.index, range(terms)), True)
-    verdict = {}
-    for label, k in (("odd_base_seed", 2 * alpha + 1), ("even_base_seed", 2 * alpha + 2)):
-        vec = x_vector(k, terms)
-        verdict[label] = _weighted_quotient_window(vec, identity.num, identity.den, terms) == lhs
-    return verdict
-
-
-def implied_congruence_holds(identity_id: str, params: dict, n_max: int = 60,
-                             exact_threshold: int = 50_000) -> bool:
-    """Check the congruence a passing identity forces on its progression:
-    every coefficient divisible by 3^lemma_exponent.
-
-    This is `verify_congruence`'s check on the identity's `implies`: True
-    when it passes.  A reduced reading that cannot decide the lemma
-    exponent (the rule of `_settle`) raises ValueError instead of answering.
-    """
-    rep = _check_instance(_identity_instance(identity_id, params)[1], n_max, exact_threshold)
-    if "undecided" in rep.extras:
-        raise ValueError(rep.extras["undecided"])
-    return rep.status == PASS
-
-
 # -- suite ------------------------------------------------------------------
 
 
@@ -635,8 +602,9 @@ def _is_int(v) -> bool:
 
 _DEPTH_GRIDS = frozenset({"alphas", "betas", "prime_alphas", "prime_betas", "prime_ks",
                           "priors_betas", "conjecture_ks", "conjecture_ms"})
-# integer fields with a least value: the index depths from 0, the counts from 1
-_LEAST = {"n_max": 0, "n_max_small": 0, "prime_n_max": 0, "priors_n_max": 0,
+# integer fields with a least value: the index depths from 0, the counts and
+# the prime towers' depth (whose filter drops n = 0) from 1
+_LEAST = {"n_max": 0, "n_max_small": 0, "prime_n_max": 1, "priors_n_max": 0,
           "conjecture_n_max": 0, "class_reps_per_sign": 1, "identity_terms": 1}
 
 
@@ -648,9 +616,9 @@ class SuiteConfig:
     Grids are lists or tuples (stored as tuples) of integers, those of
     alpha, beta, k and m values from 0; `include` is None or catalog ids;
     every other field is an integer, the index depths from 0 and
-    `class_reps_per_sign` and `identity_terms` from 1.  A config is
-    frozen: change one with `dataclasses.replace`, which checks the
-    result again.
+    `prime_n_max`, `class_reps_per_sign` and `identity_terms` from 1.  A
+    config is frozen: change one with `dataclasses.replace`, which checks
+    the result again.
     """
 
     alphas: tuple[int, ...] = (0, 1)
@@ -713,13 +681,6 @@ class SuiteConfig:
         if not _is_int(raw.pop("threads", 1)):
             raise ValueError("suite config field 'threads' must be an integer")
         return cls(**raw)
-
-    def to_json(self) -> str:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return json.dumps(out, indent=2, sort_keys=True)
 
 
 @dataclass

@@ -291,9 +291,9 @@ def test_criterion_12_randomized_property_suites():
     for _ in range(100):  # residue extraction partitions the series
         a = rand_series()
         r = rng.randrange(1, 6)
-        total = a.extract_progression(r, 0, rescale=False)
+        total = a.extract_progression(r, 0)
         for s in range(1, r):
-            total = total.add(a.extract_progression(r, s, rescale=False))
+            total = total.add(a.extract_progression(r, s))
         ok = ok and total.agrees_with(a)
     for _ in range(100):  # valuation is additive on products
         x = rng.randrange(1, 10**9) * rng.choice([1, -1])

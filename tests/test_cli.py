@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -135,7 +135,15 @@ class TestVerify:
         # an empty range would fit no constant; a negative depth is refused instead
         code, out, err = run_cli(capsys, "verify", "congruence", "--case", "MR10", "--alpha", "0",
                                  "--beta", "0", "--ell", "3", "--nmax", "-1")
-        assert (code, out, err) == (2, "", "error: MR10: n_max=-1 must be at least 0\n")
+        assert (code, out, err) == (2, "", "error: MR10: n_max=-1 must be at least 1\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("--case", "MR10", "--alpha", "0", "--beta", "0", "--ell", "3"),  # n = 0 fits the constant
+        ("--case", "MR4", "--alpha", "0", "--beta", "0", "--p", "7", "--k", "0"),  # 7 | 0 is dropped
+    ])
+    def test_single_index_range_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", "congruence", *argv, "--nmax", "0")
+        assert (code, out, err) == (2, "", f"error: {argv[1]}: n_max=0 must be at least 1\n")
 
     def test_identity(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "identity", "--id", "H1",
@@ -186,7 +194,7 @@ class TestVerify:
         cfg = replace(default_suite_config(), include=("MR1", "G1"), n_max=30, n_max_small=30,
                       priors_n_max=30)
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(asdict(cfg)))
         code, out, _ = run_cli(capsys, "verify", "suite", "--config", str(path))
         data = json.loads(out)
         assert code == 0 and data["status"] == "PASS"
@@ -273,7 +281,7 @@ class TestReportSchema:
                       n_max_small=30, conjecture_n_max=30, identity_terms=10,
                       class_reps_per_sign=1)
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(asdict(cfg)))
         main(["verify", "suite", "--config", str(path)])
         data = json.loads(capsys.readouterr().out)
         assert set(data["counts"]) == {"PASS", "FAIL", "SKIPPED"}

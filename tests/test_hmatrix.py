@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from q3series import hmatrix
 from q3series.arith3 import pi3
-from q3series.hmatrix import (check_h_lemma, huff, inv_t_power, inv_zeta_power, m_entry,
-                              pmij_bound)
+from q3series.eta import EtaQuotientSpec, eta_quotient
+from q3series.hmatrix import check_h_lemma, huff, m_entry, pmij_bound
 from q3series.series import TruncatedSeries
 
 # the five displayed seed rows, all 25 entries
@@ -81,15 +81,17 @@ class TestTable:
             m_entry(i, j)
 
     def test_fitted_against_huffing_directly(self):
-        # solve for the row coefficients from the operator identity itself
+        # solve for the row coefficients from the operator identity itself:
+        # (1/zeta)^i = q^i E(q^9)^{3i} / E(q)^{3i}, (1/T)^j = q^{3j} E(q^9)^{12j} / E(q^3)^{12j}
         order = 31
         for i in (4, 6, 7):
-            lhs = huff(inv_zeta_power(i, order))
+            lhs = huff(eta_quotient(EtaQuotientSpec(i, ((9, 3 * i), (1, -3 * i))), order))
             fitted = []
             for j in range(1, order // 3 + 1):
                 c = lhs.coeff(3 * j)
                 fitted.append(c)
-                lhs = lhs.add(inv_t_power(j, order).scale(-c))
+                inv_t_j = eta_quotient(EtaQuotientSpec(3 * j, ((9, 12 * j), (3, -12 * j))), order)
+                lhs = lhs.add(inv_t_j.scale(-c))
             assert all(c == 0 for _, c in lhs.terms())
             assert fitted == [m_entry(i, j) for j in range(1, len(fitted) + 1)]
 
@@ -112,8 +114,9 @@ class TestHuff:
     def test_base_quotient_huffs_to_single_term(self):
         # huff(1/zeta) = 9/T on a decent window
         order = 31
-        lhs = huff(inv_zeta_power(1, order))
-        assert lhs.agrees_with(inv_t_power(1, order).scale(9), upto=order)
+        lhs = huff(eta_quotient(EtaQuotientSpec(1, ((9, 3), (1, -3))), order))
+        inv_t = eta_quotient(EtaQuotientSpec(3, ((9, 12), (3, -12))), order)
+        assert lhs.agrees_with(inv_t.scale(9), upto=order)
 
 
 class TestP0:
@@ -124,8 +127,9 @@ class TestP0:
     def test_wrong_leading_coefficient_detected(self):
         # same comparison with 8/T instead of 9/T must disagree
         order = 30
-        lhs = huff(inv_zeta_power(1, order))
-        assert not lhs.agrees_with(inv_t_power(1, order).scale(8), upto=order)
+        lhs = huff(eta_quotient(EtaQuotientSpec(1, ((9, 3), (1, -3))), order))
+        inv_t = eta_quotient(EtaQuotientSpec(3, ((9, 12), (3, -12))), order)
+        assert not lhs.agrees_with(inv_t.scale(8), upto=order)
 
     def test_window_guard(self):
         # the first right-hand term is 9 q^3 / ...: a window below q^3 sees none

@@ -142,19 +142,12 @@ class TestSubstitute:
 class TestExtract:
     def test_multiples_kept_in_place(self):
         a = geometric(4)
-        kept = a.extract_progression(3, 0, rescale=False)
+        kept = a.extract_progression(3, 0)
         assert kept.terms() == [(0, 1), (3, 1)]
-
-    def test_rescale_three_color(self):
-        from q3series.counts import CountingFunction, Kind, count_values
-
-        p3 = TruncatedSeries(0, count_values(CountingFunction(Kind.P3), 31), 31)
-        sub = p3.extract_progression(3, 2, rescale=True)
-        assert sub.coeff(0) == 9  # three-color count at 2
 
     def test_unit_step_is_identity(self):
         a = TruncatedSeries.from_terms([(0, 2), (3, -1)], 5)
-        assert a.extract_progression(1, 0, rescale=True).agrees_with(a)
+        assert a.extract_progression(1, 0).agrees_with(a)
 
 
 # -- randomized properties ------------------------------------------------
@@ -192,18 +185,10 @@ def test_inverse_roundtrip(a):
 @settings(max_examples=100)
 @given(small_series, st.integers(1, 5))
 def test_extraction_partition_of_unity(a, r):
-    total = a.extract_progression(r, 0, rescale=False)
+    total = a.extract_progression(r, 0)
     for s in range(1, r):
-        total = total.add(a.extract_progression(r, s, rescale=False))
+        total = total.add(a.extract_progression(r, s))
     assert total.agrees_with(a)
-
-
-@settings(max_examples=100)
-@given(small_series)
-def test_rescale_then_substitute_matches_in_place_extraction(a):
-    rescaled = a.extract_progression(3, 0, rescale=True)
-    in_place = a.extract_progression(3, 0, rescale=False)
-    assert rescaled.substitute_power(3).agrees_with(in_place, upto=in_place.order)
 
 
 def schoolbook(a, b, n):

@@ -131,7 +131,7 @@ _primes = st.lists(st.integers(2, 30), max_size=3).map(tuple)
 @given(cfg=st.builds(
     SuiteConfig, alphas=_depths, betas=_depths, n_max=st.integers(0, 60),
     n_max_small=st.integers(0, 60), small_A_cutoff=st.integers(0, 3**7),
-    primes_3mod4=_primes, primes_nonresidue=_primes, prime_ks=_depths, prime_n_max=st.integers(0, 9),
+    primes_3mod4=_primes, primes_nonresidue=_primes, prime_ks=_depths, prime_n_max=st.integers(1, 9),
     prime_alphas=_depths, prime_betas=_depths, class_reps_per_sign=st.integers(1, 4),
     priors_betas=_depths, priors_n_max=st.integers(0, 9),
     # the reference evaluates BC2's A = 3^(2k - 1), so it cannot build k = 0

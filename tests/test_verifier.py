@@ -18,10 +18,9 @@ from q3series.counts import Kind
 from q3series.eta import EtaQuotientSpec, eta_quotient
 from q3series.report import FAIL, PASS, SKIPPED, Report
 from q3series.series import TruncatedSeries
-from q3series.vectors import family_vector
+from q3series.vectors import family_vector, x_vector
 from q3series.verifier import (SuiteConfig, SuiteReport, _exact_div, catalog, class_members,
-                               implied_congruence_holds, instantiate, run_suite,
-                               verify_congruence, verify_gf_identity)
+                               instantiate, run_suite, verify_congruence, verify_gf_identity)
 
 # json.loads of suite_json(run_suite(SuiteConfig(**TestSuite.CFG))) at the default thresholds
 # ("default") and with exact_threshold = identity_exact_cap = 200 ("reduced"),
@@ -205,7 +204,7 @@ class TestIdentityLink:
         with pytest.raises(ValueError, match=r"^T31: beta=-1 must be at least 0$"):
             verify_gf_identity("T31", {"alpha": 0, "beta": -1, "ell": 3})
         with pytest.raises(KeyError):
-            implied_congruence_holds("MR1", {"alpha": 0, "beta": 0})
+            verifier._identity_instance("MR1", {"alpha": 0, "beta": 0})
 
 
 def _records() -> list:
@@ -434,8 +433,18 @@ class TestBranchCase:
 
     def test_negative_range_refused(self):
         # a range of no index would fit no constant and report SKIPPED
-        with pytest.raises(ValueError, match=r"^MR10: n_max=-1 must be at least 0$"):
+        with pytest.raises(ValueError, match=r"^MR10: n_max=-1 must be at least 1$"):
             verify_congruence("MR10", {"alpha": 0, "beta": 0, "ell": 3}, -1)
+
+    def test_single_index_range_refused(self):
+        # n = 0 alone is where the constant is fitted, so it would PASS on nothing
+        with pytest.raises(ValueError, match=r"^MR10: n_max=0 must be at least 1$"):
+            verify_congruence("MR10", {"alpha": 0, "beta": 0, "ell": 3}, 0)
+
+    def test_single_index_range_is_an_error_report_in_suite(self):
+        suite = run_suite(SuiteConfig(**dict(TestSuite.CFG, include=("MR10",), n_max_small=0)))
+        assert suite.reports and suite.status == FAIL
+        assert {r.extras["error"] for r in suite.reports} == {"MR10: n_max=0 must be at least 1"}
 
     def test_negative_range_refused_in_suite_config(self):
         with pytest.raises(ValueError, match="'n_max_small' must be an integer from 0, not -1"):
@@ -523,27 +532,55 @@ class TestIdentities:
 
     def test_seed_reading_probe(self):
         # the one-step families really do start from the odd base vector
-        from q3series.verifier import probe_seed_reading
-
         for iid in ("T12", "T22"):
             for alpha in (0, 1):
-                verdict = probe_seed_reading(iid, alpha)
+                verdict = _seed_reading(iid, alpha)
                 assert verdict == {"odd_base_seed": True, "even_base_seed": False}
-        with pytest.raises(ValueError):
-            probe_seed_reading("T11", 0)
+
+    @staticmethod
+    def _implied(iid: str, params: dict, n_max: int, exact_threshold: int = 50_000) -> Report:
+        """The congruence check on what the identity implies, every coefficient
+        divisible by 3^lemma_exponent."""
+        return verifier._check_instance(verifier._identity_instance(iid, params)[1], n_max,
+                                        exact_threshold)
 
     def test_implied_congruence_consistency(self):
         # identities that hold exactly force the j=1 divisibility on the window
-        for iid, params in (("H1", {"alpha": 0}), ("T11", {"alpha": 0, "beta": 1}),
-                            ("T12", {"alpha": 1, "beta": 0})):
-            rep = verify_gf_identity(iid, params, 10, "exact")
-            assert rep.status == PASS
-            assert implied_congruence_holds(iid, params, n_max=40)
+        # (id, params, window, n_max): the eight that hold exactly at alpha = beta = 0
+        # to the window's end, and three read past a short window
+        zero = {"alpha": 0, "beta": 0}
+        cases = [(iid, {n: zero[n] for n in verifier._IDENTITY_BY_ID[iid].implies.param_names},
+                  20, 19) for iid in ("H1", "H2", "T11", "D6", "T12", "T21", "T22", "T23")]
+        cases += [("H1", {"alpha": 0}, 10, 40), ("T11", {"alpha": 0, "beta": 1}, 10, 40),
+                  ("T12", {"alpha": 1, "beta": 0}, 10, 40)]
+        for iid, params, terms, n_max in cases:
+            assert verify_gf_identity(iid, params, terms, "exact").status == PASS, (iid, params)
+            assert self._implied(iid, params, n_max).status == PASS, (iid, params)
 
     def test_implied_congruence_undecided_above_cap(self):
-        # lemma exponent 17: residues mod 3^15 that read zero cannot answer True
-        with pytest.raises(ValueError, match=r"3\^17"):
-            implied_congruence_holds("T23", {"alpha": 3, "beta": 2}, n_max=0, exact_threshold=0)
+        # lemma exponent 17: residues mod 3^15 that read zero cannot answer PASS
+        rep = self._implied("T23", {"alpha": 3, "beta": 2}, 0, exact_threshold=0)
+        assert rep.status == SKIPPED
+        assert "3^17" in rep.extras["undecided"]
+
+
+def _seed_reading(identity_id: str, alpha: int, terms: int = 20) -> dict:
+    """Which level-one seed of a one-step family (T12, T22) reproduces its
+    progression exactly.
+
+    The stated seed is the odd base vector x_{2 alpha + 1}, even though the
+    function parameter uses the even power 3^{2 alpha + 2}; the even base
+    vector x_{2 alpha + 2} is the plausible alternative.
+    """
+    identity, inst = verifier._identity_instance(identity_id, {"alpha": alpha, "beta": 0})
+    assert identity.level(inst.params) == 1
+    lhs = counts.values_at(inst.fn, map(inst.progression.index, range(terms)), True)
+    verdict = {}
+    for label, k in (("odd_base_seed", 2 * alpha + 1), ("even_base_seed", 2 * alpha + 2)):
+        window = verifier._weighted_quotient_window(x_vector(k, terms), identity.num,
+                                                    identity.den, terms)
+        verdict[label] = window == lhs
+    return verdict
 
 
 def _direct_window(weights, num, den, terms):
@@ -713,7 +750,8 @@ class TestSuite:
         ("n_max", 10.5, "'n_max' must be an integer"),
         ("n_max", -1, "'n_max' must be an integer from 0, not -1"),
         ("n_max_small", -1, "'n_max_small' must be an integer from 0, not -1"),
-        ("prime_n_max", -1, "'prime_n_max' must be an integer from 0, not -1"),
+        ("prime_n_max", -1, "'prime_n_max' must be an integer from 1, not -1"),
+        ("prime_n_max", 0, "'prime_n_max' must be an integer from 1, not 0"),
         ("priors_n_max", -1, "'priors_n_max' must be an integer from 0, not -1"),
         ("conjecture_n_max", -1, "'conjecture_n_max' must be an integer from 0, not -1"),
         ("class_reps_per_sign", 0, "'class_reps_per_sign' must be an integer from 1, not 0"),
@@ -765,7 +803,7 @@ class TestSuite:
 
     def test_config_roundtrip(self):
         cfg = SuiteConfig(**self.CFG)
-        again = SuiteConfig.from_json(cfg.to_json())
+        again = SuiteConfig.from_json(json.dumps(dataclasses.asdict(cfg)))
         assert cfg == again
 
     def test_config_rejects_unknown_keys(self):
@@ -814,7 +852,7 @@ class TestSuiteJson:
 
     def test_cli_writes_the_pieces(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(SuiteConfig(**TestSuite.CFG).to_json())
+        path.write_text(json.dumps(dataclasses.asdict(SuiteConfig(**TestSuite.CFG))))
         code = cli.main(["verify", "suite", "--config", str(path), "--format", "json"])
         out = capsys.readouterr().out
         suite = self.suite("small-config")
