@@ -9,12 +9,8 @@ with small offsets (b, c) fixed by the family and the parity of the
 current level.  The band of the m-table makes every such sum finite and
 keeps all supports finite, roughly tripling per level (1, 3, 10, 30, ...).
 
-All levels come from one demand-driven chain per (family, alpha), kept
-in one dict.  The X chain is seeded by x_1 and its level
-k is x_k; level 1 of every other chain is the X level that seeds it.
-Each level is stored with the window it is exact on (the whole support
-once a demand reaches it), and a request for a longer window recomputes
-only the levels below it whose windows are too short.
+A vector is computed afresh from x_1 up one step list: the X steps up
+to the family's seed x_k, then the family's own steps up to the level.
 
 Each family obeys a 3-adic lower bound of the shape
 
@@ -26,7 +22,6 @@ assert the bound on every materialized entry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -157,47 +152,30 @@ def _step_vector(prev: list[int], b: int, c: int, jcap: int) -> list[int]:
 
 
 _X_LEVELS = 8  # base vectors beyond x_8 are not needed at desk scale
-# (family, alpha) -> [(entries, window), ...] for levels 1, 2, ...; entries
-# 1..window are exact (trailing zeros trimmed), window inf is the whole support
-_chains: dict[tuple[Family, int], list[tuple[list[int], float]]] = {}
 
 
-def _level(family: Family, alpha: int, mu: int, need: float) -> tuple[list[int], float]:
-    """(entries, window) of level mu of the (family, alpha) chain; window >= need.
+def _entries(family: Family, alpha: int, mu: int, jmax: int) -> tuple[int, ...]:
+    """Entries 1..jmax of level mu of the family at alpha, stepped up from x_1.
 
     Entry j of a level reads entry i of the one below through
     m(4i + b, i + j + c), which vanishes outside the band
     ceil(row / 3) <= column <= row.  So entries 1..J read entries 1..3J
     (3c - b <= 0 for every step), and a level stepped from a whole
-    support of length L is zero past 3L + 2 (b - c <= 2).  The X chain
-    does not depend on alpha and starts from x_1 = (9,); level 1 of every
-    other chain is an X level, read to the same window.
+    support of length L is zero past 3L + 2 (b - c <= 2).
     """
-    if mu < 1:
+    seed = mu if family is Family.X else 2 * alpha + (2 if family is Family.Z else 1)
+    if mu < 1 or seed < 1:
         raise ValueError("level >= 1 required")
-    if family is Family.X:
-        if mu > _X_LEVELS:
-            raise ValueError(f"base vectors beyond k={_X_LEVELS} are not needed at desk scale")
-        alpha = 0
-    chain = _chains.setdefault((family, alpha), [])
-    if mu <= len(chain) and chain[mu - 1][1] >= need:
-        return chain[mu - 1]
-    if family is Family.X and mu == 1:
-        level = [9], math.inf
-    elif mu == 1:
-        level = _level(Family.X, 0, 2 * alpha + (2 if family is Family.Z else 1), need)
-    else:
-        prev, prev_window = _level(family, alpha, mu - 1, 3 * need)
-        reach = 3 * len(prev) + 2 if prev_window == math.inf else math.inf
-        b, c = _STEP[family][(mu - 1) % 2]
-        level = _step_vector(prev, b, c, min(need, reach)), (math.inf if need >= reach else need)
-    chain[mu - 1:mu] = [level]
-    return level
-
-
-def _entries(family: Family, alpha: int, mu: int, jmax: int) -> tuple[int, ...]:
-    """Entries 1..jmax of level mu of the (family, alpha) chain."""
-    vals, _ = _level(family, alpha, mu, jmax)
+    if seed > _X_LEVELS:
+        raise ValueError(f"base vectors beyond k={_X_LEVELS} are not needed at desk scale")
+    steps = [_STEP[Family.X][k % 2] for k in range(1, seed)]
+    if family is not Family.X:
+        steps += [_STEP[family][level % 2] for level in range(1, mu)]
+    vals, whole = [9], True  # x_1, a whole support
+    for n, (b, c) in enumerate(steps, start=1):
+        need = jmax * 3 ** (len(steps) - n)
+        reach = 3 * len(vals) + 2 if whole else need
+        vals, whole = _step_vector(vals, b, c, min(need, reach)), whole and need >= reach
     return tuple((vals + [0] * jmax)[:jmax])
 
 

@@ -495,7 +495,7 @@ def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], exac
 
 @functools.lru_cache(maxsize=None)
 def _quotient(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
-    """`eta_quotient`, built once per (spec, order); the series is immutable."""
+    """An identity window's j=1 `eta_quotient`, once per (spec, order); immutable."""
     return eta_quotient(spec, order)
 
 
@@ -512,7 +512,7 @@ def _powers_of_ratio(terms: int, top: int) -> list[TruncatedSeries]:
     """
     chain = _ratio_powers.setdefault(terms, [TruncatedSeries.one(terms)])
     while len(chain) <= top:
-        chain.append(_quotient(_RATIO, terms) if len(chain) == 1 else chain[-1].mul(chain[1]))
+        chain.append(eta_quotient(_RATIO, terms) if len(chain) == 1 else chain[-1].mul(chain[1]))
     return chain[:top + 1]
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -109,6 +110,19 @@ class TestVector:
         code, out, err = run_cli(capsys, "vector", "--family", "r", "--alpha", str(alpha),
                                  "--mu", "2", "--jmax", str(jmax))
         assert (code, out, err) == (2, "", "error: need alpha >= 0 and jmax >= 1\n")
+
+    @pytest.mark.parametrize("family, alpha, mu, jmax, digest", [
+        ("v", 3, 6, 2, "b2365688e64b358c4f233f9f847a587f8569c8cad5e08e5fa333f313ca24ca15"),
+        ("z", 1, 4, 6, "904d9fcae36b7e1b4ddb67aa55d70447ddf46120d632352563316680b53a91a3"),
+        ("x", 3, 8, 40, "97ea3c9f9794726920b696806b8a346417f6e60a45de25f3a5d97eec24e33c73"),
+    ])
+    def test_deep_chain_digest(self, capsys, family, alpha, mu, jmax, digest):
+        # deep chains (seeds up to x_8, up to 11 steps), pinned by the
+        # sha256 of the printed JSON
+        code, out, _ = run_cli(capsys, "vector", "--family", family, "--alpha", str(alpha),
+                               "--mu", str(mu), "--jmax", str(jmax))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerify:

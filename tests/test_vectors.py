@@ -55,14 +55,6 @@ class TestFamilySeedsAndSteps:
         assert long[:3] == short
 
 
-@pytest.fixture
-def cold_chains():
-    """Empty the level cache before and after the test."""
-    vectors._chains.clear()
-    yield
-    vectors._chains.clear()
-
-
 def _whole_level(family, alpha, mu):
     """Level mu of a non-base family, every level stepped at its whole
     support from x_1 = (9,), with no windows: the reference."""
@@ -81,7 +73,7 @@ def _whole_level(family, alpha, mu):
 
 class TestChain:
     @pytest.mark.parametrize("family", [f for f in Family if f is not Family.X])
-    def test_windows_match_whole_levels(self, cold_chains, family):
+    def test_windows_match_whole_levels(self, family):
         for alpha in (0, 1):
             for mu in (3, 1, 2):
                 whole = _whole_level(family, alpha, mu)
@@ -89,7 +81,7 @@ class TestChain:
                     want = tuple((whole + [0] * jmax)[:jmax])
                     assert family_vector(family, alpha, mu, jmax).values == want, (alpha, mu, jmax)
 
-    def test_step_reads_only_the_band(self, cold_chains, monkeypatch):
+    def test_step_reads_only_the_band(self, monkeypatch):
         # the banded step against a plain step that reads every entry below
         def full_step(prev, b, c, jcap):
             out = [sum(v * m_entry(4 * i + b, i + j + c) for i, v in enumerate(prev, start=1))
@@ -101,7 +93,6 @@ class TestChain:
         requests = [(fam, alpha, mu, 40) for fam in Family if fam is not Family.X
                     for alpha in (0, 1) for mu in range(1, 5)] + [(Family.V, 3, 6, 2)]
         banded = [family_vector(*r).values for r in requests]
-        vectors._chains.clear()
         monkeypatch.setattr(vectors, "_step_vector", full_step)
         assert [family_vector(*r).values for r in requests] == banded
 
@@ -115,32 +106,30 @@ class TestChain:
         with pytest.raises(ValueError):
             family_vector(Family.R, 0, 0, 3)
 
+    def test_seed_below_one_rejected(self):
+        # alpha -1 seeds the odd residue-class family at x_{-1}
+        with pytest.raises(ValueError, match="level >= 1 required"):
+            family_vector(Family.Y, -1, 2, 3)
+
+    @pytest.mark.parametrize("family, alpha", [(Family.Z, 4), (Family.R, 4)])
+    def test_seed_past_eight_rejected(self, family, alpha):
+        # seeds x_10 and x_9
+        with pytest.raises(ValueError, match="beyond k=8"):
+            family_vector(family, alpha, 1, 3)
+
     def test_family_seed_is_base_level(self):
         assert family_vector(Family.Z, 1, 1, 30).values == x_vector(4, 30).values
         assert family_vector(Family.Y, 1, 1, 30).values == x_vector(3, 30).values
 
-    @pytest.mark.parametrize("base_first", [True, False])
-    def test_build_order_does_not_matter(self, cold_chains, base_first):
-        # the Z chain at alpha 1 builds x_4 on demand when the X chain is cold
-        if base_first:
-            base = x_vector(4, 30).values
-            level = family_vector(Family.Z, 1, 3, 40).values
-        else:
-            level = family_vector(Family.Z, 1, 3, 40).values
-            base = x_vector(4, 30).values
-        vectors._chains.clear()
-        assert base == x_vector(4, 30).values
-        vectors._chains.clear()
-        assert level == family_vector(Family.Z, 1, 3, 40).values
-
-    def test_window_grows_on_demand(self, cold_chains):
-        # a short window first, then a longer one, gives what a cold long request gives
+    def test_window_grows_on_demand(self):
+        # a short window is the prefix of a longer one, and a window past
+        # the whole support is the same however often it is asked for
         short = family_vector(Family.R, 1, 4, 5).values
         long = family_vector(Family.R, 1, 4, 300).values
-        vectors._chains.clear()
         assert family_vector(Family.R, 1, 4, 300).values == long
         assert long[:5] == short
         assert long[-1] == 0  # the whole support (264 entries) fits in 300
+        assert long[263] and not any(long[264:])
 
 
 class TestBoundFormula:

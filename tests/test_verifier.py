@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from q3series import cli, counts, hmatrix, modseries, vectors, verifier
+from q3series import cli, counts, hmatrix, modseries, verifier
 from q3series.counts import Kind
 from q3series.eta import EtaQuotientSpec, eta_quotient
 from q3series.report import FAIL, PASS, SKIPPED, Report
@@ -686,14 +686,13 @@ class TestWeightedQuotientWindow:
 @pytest.fixture
 def cold_state(monkeypatch):
     """Every structure the library grows on demand, reset for one test: the
-    exact and reduced bases, the m-table, the vector chains, the ratio
-    powers and the two lru_caches."""
+    exact and reduced bases, the m-table, the ratio powers and the two
+    lru_caches."""
     mod_base = np.ones(1, dtype=np.int64)
     mod_base.setflags(write=False)
     monkeypatch.setattr(counts, "_inv_cube", [])
     monkeypatch.setattr(counts, "_mod_base", mod_base)
     monkeypatch.setattr(hmatrix, "_COLUMNS", [[9, 6, 1]])
-    monkeypatch.setattr(vectors, "_chains", {})
     monkeypatch.setattr(verifier, "_ratio_powers", {})
     verifier._quotient.cache_clear()
     verifier._rhs_window.cache_clear()
@@ -730,7 +729,7 @@ class TestSuite:
         golden = json.loads(GOLDEN.read_text())[name]
         suite = run_suite(SuiteConfig(**dict(self.CFG, **thresholds)))
         assert json.dumps(json.loads(suite_json(suite)), sort_keys=True) == json.dumps(golden, sort_keys=True)
-        assert len(hmatrix._COLUMNS) > 1 and vectors._chains and verifier._ratio_powers
+        assert len(hmatrix._COLUMNS) > 1 and verifier._ratio_powers
         assert len(counts._inv_cube) > 1 and (name == "default" or len(counts._mod_base) > 1)
 
     def test_include_filter(self):
