@@ -154,7 +154,7 @@ def class_members(base: int, per_sign: int) -> list[int]:
     mod = 3 * base
     pos = [base + i * mod for i in range(per_sign)]
     neg = [(i + 1) * mod - base for i in range(per_sign)]
-    return sorted(set(pos + neg))
+    return sorted(pos + neg)  # disjoint: a shared member would need 2 base = 0 mod 3 base
 
 
 # sigma of 8B = c 3^x p^y + sigma*ell0 + 1 is the q-shift of each eta quotient:
@@ -458,13 +458,9 @@ def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Rep
     return _settle(rep, hit_cap, inst.exponent)
 
 
-def _triangular_index(n: int) -> int | None:
-    """k with n = k(k+1)/2, if one exists."""
-    k = (math.isqrt(8 * n + 1) - 1) // 2
-    for kk in (k, k + 1):
-        if kk >= 0 and kk * (kk + 1) // 2 == n:
-            return kk
-    return None
+def _is_triangular(n: int) -> bool:
+    """Whether n = k(k+1)/2 for some k >= 0, that is, 8n+1 is a perfect square."""
+    return math.isqrt(8 * n + 1) ** 2 == 8 * n + 1
 
 
 def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], exact: bool) -> Report:
@@ -479,7 +475,7 @@ def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], exac
     """
     mod = 3**inst.exponent
     const = values[0]
-    wants = [const * (2 * n + 1) * (-1 if n % 2 else 1) if _triangular_index(n) is not None else 0
+    wants = [const * (2 * n + 1) * (-1 if n % 2 else 1) if _is_triangular(n) else 0
              for n in range(len(values))]
     valuations, holds, hit_cap = _scan([v - w for v, w in zip(values, wants)], not exact)
     rep.failures = [{"n": n, "value": str(v % mod), "expected": str(w % mod),
@@ -491,12 +487,6 @@ def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], exac
                          fitted_constant=str(const % mod), plain_branch_holds=const % mod == 1,
                          branch_holds_to_exponent=holds, exponent_capped=hit_cap)
     return _settle(rep, hit_cap, inst.exponent)
-
-
-@functools.lru_cache(maxsize=None)
-def _quotient(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
-    """An identity window's j=1 `eta_quotient`, once per (spec, order); immutable."""
-    return eta_quotient(spec, order)
 
 
 _RATIO = EtaQuotientSpec(1, ((3, 12), (1, -12)))  # q E(q^3)^12 / E(q)^12
@@ -524,12 +514,10 @@ def _weighted_quotient_window(vec, num: int, den: int, terms: int) -> list[int]:
     shared ratio powers.  ratio^{j-1} starts at q^{j-1}, so the sum runs
     over the weights inside the window and ends at the last nonzero one.
     """
-    quotient = _quotient(EtaQuotientSpec(0, ((3, 12 + num), (1, -(12 + den)))), terms)
+    quotient = eta_quotient(EtaQuotientSpec(0, ((3, 12 + num), (1, -(12 + den)))), terms)
     weights = list(vec.values[:terms])
     while weights and not weights[-1]:
         weights.pop()
-    if not weights:
-        return [0] * terms
     total = [0] * terms
     for c, power in zip(weights, _powers_of_ratio(terms, len(weights) - 1)):
         if c:

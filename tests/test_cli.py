@@ -39,6 +39,22 @@ class TestExpand:
         code, _, err = run_cli(capsys, "expand", "--spec", "F(2)^3", "--order", "4")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("spec, order, fmt, digest", [
+        ("q^-2 * E(1)^7 * E(3)^-5", 40, "csv",
+         "b1fd0f24a5887eb5e94a60165b049fd77a909656bc90b7832edb253284bb8ac0"),
+        ("q^1 * E(3)^-4 * E(2)^5 * E(1)^-11", 60, "json",
+         "2a314245b78f3c49c51cdc7e40efe1a38bc18e2812dd24d40fc483c759247251"),
+        ("q^-1 * E(3)^15 * E(1)^-13 * E(9)^2", 50, "text",
+         "b6d21f775534d52bf171fc9c2f35dd47cccecad471cdfa32360ff7427901d6bb"),
+    ])
+    def test_output_digest(self, capsys, spec, order, fmt, digest):
+        # Laurent windows and exponents off multiples of 3, pinned by the
+        # sha256 of the printed output
+        code, out, _ = run_cli(capsys, "expand", "--spec", spec, "--order", str(order),
+                               "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestCount:
     def test_csv(self, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from q3series import verifier
 from q3series.eta import (EtaQuotientSpec, eta_quotient, euler_series,
                           jacobi_cube, p_cap_series)
 from q3series.series import TruncatedSeries
@@ -59,6 +60,45 @@ class TestEtaQuotient:
         num = eta_quotient(EtaQuotientSpec(0, ((3, 9),)), order)
         den = eta_quotient(EtaQuotientSpec(0, ((1, 12),)), order)
         assert quot.mul(den).agrees_with(num, upto=order)
+
+
+def powered_product(spec, order):
+    """Coefficients of q^s .. q^(order-1) of spec as a product of
+    euler_series(r).pow(e): the route through TruncatedSeries.pow and inverse."""
+    rel = order - spec.power_of_q
+    acc = TruncatedSeries.one(rel)
+    for r, e in spec.factors:
+        acc = acc.mul(euler_series(r, rel).pow(e))
+    return [acc.coeff(i) for i in range(rel)]
+
+
+class TestEtaQuotientAgainstPowers:
+    """eta_quotient takes E(q^r)^e as |e| // 3 Jacobi cubes and |e| % 3 single
+    factors; TruncatedSeries.pow knows neither split."""
+
+    @staticmethod
+    def check(spec, order):
+        got = eta_quotient(spec, order)
+        assert (got.offset, got.order) == (spec.power_of_q, order)
+        assert list(got.coeffs) == powered_product(spec, order), str(spec)
+
+    @pytest.mark.parametrize("e", range(-7, 8))
+    def test_single_factor(self, e):
+        for r in (1, 2, 3):
+            for s in (-2, 0, 3):
+                self.check(EtaQuotientSpec(s, ((r, e),)), 60)
+
+    @pytest.mark.parametrize("text", ["q^-2 * E(1)^-7 * E(2)^5 * E(3)^4",
+                                      "q^3 * E(1)^8 * E(2)^-1 * E(3)^-5"])
+    def test_mixed_signs_and_scales(self, text):
+        self.check(EtaQuotientSpec.parse(text), 60)
+
+    def test_identity_quotients_and_ratio(self):
+        pairs = sorted({(i.num, i.den) for i in verifier._IDENTITIES})
+        assert len(pairs) == 10
+        for num, den in pairs:
+            self.check(EtaQuotientSpec(0, ((3, 12 + num), (1, -(12 + den)))), 100)
+        self.check(verifier._RATIO, 100)
 
 
 class TestGrammar:

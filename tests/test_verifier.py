@@ -686,15 +686,14 @@ class TestWeightedQuotientWindow:
 @pytest.fixture
 def cold_state(monkeypatch):
     """Every structure the library grows on demand, reset for one test: the
-    exact and reduced bases, the m-table, the ratio powers and the two
-    lru_caches."""
+    exact and reduced bases, the m-table, the ratio powers and the
+    lru_cache of `_rhs_window`."""
     mod_base = np.ones(1, dtype=np.int64)
     mod_base.setflags(write=False)
     monkeypatch.setattr(counts, "_inv_cube", [])
     monkeypatch.setattr(counts, "_mod_base", mod_base)
     monkeypatch.setattr(hmatrix, "_COLUMNS", [[9, 6, 1]])
     monkeypatch.setattr(verifier, "_ratio_powers", {})
-    verifier._quotient.cache_clear()
     verifier._rhs_window.cache_clear()
 
 
