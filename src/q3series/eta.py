@@ -27,16 +27,14 @@ def euler_terms(r: int, order: int) -> list[tuple[int, int]]:
     while True:
         g1 = r * k * (3 * k - 1) // 2
         g2 = r * k * (3 * k + 1) // 2
-        if g1 >= order and g2 >= order:
+        if g1 >= order:  # g2 = g1 + r*k lies past it
             break
         sign = 1 if k % 2 == 0 else -1
-        if g1 < order:
-            out.append((g1, sign))
+        out.append((g1, sign))
         if g2 < order:
             out.append((g2, sign))
         k += 1
-    out.sort()
-    return out
+    return out  # ascending: k(3k+1)/2 < (k+1)(3k+2)/2
 
 
 def jacobi_cube_terms(r: int, order: int) -> list[tuple[int, int]]:

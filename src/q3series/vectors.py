@@ -16,14 +16,16 @@ Each family obeys a 3-adic lower bound of the shape
 
     pi3(value at j) >= 3*alpha + f + floor((9j - 10) / 2) + [j == 1]
 
-with the per-family, per-parity term f tabulated below; constructors
-assert the bound on every materialized entry.
+with f = slope*beta + f0[mu % 2], beta = (mu - 1) // 2 (mu - 1 for the
+one-step families S and U).  `_FAMILY` holds each family's step, bound
+and seed in one row; constructors assert the bound on every entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .arith3 import pi3
 from .hmatrix import m_entry
@@ -41,43 +43,25 @@ class Family(Enum):
     W = "w"  # residue-class two-product dissections
 
 
-# (row offset b, column offset c) for row 4i+b, column i+j+c,
-# keyed by family and by the parity bit (level % 2) of the level stepped from.
-_STEP = {
-    Family.X: {1: (0, 0), 0: (1, 0)},
-    Family.R: {1: (-1, -1), 0: (-3, -1)},
-    Family.S: {1: (0, 0), 0: (0, 0)},
-    Family.Y: {1: (-1, -1), 0: (-2, -1)},
-    Family.Z: {1: (0, 0), 0: (1, 0)},
-    Family.U: {1: (1, 0), 0: (1, 0)},
-    Family.V: {1: (0, 0), 0: (2, 0)},
-    Family.W: {1: (1, 0), 0: (0, 0)},
+class _Rules(NamedTuple):
+    step: tuple[tuple[int, int], tuple[int, int]]  # (b, c) from an even level, an odd one
+    per: int                # levels per beta: 2, or 1 for S and U
+    slope: int              # f = slope * beta + f0[mu % 2]
+    f0: tuple[int, int]
+    seed: tuple[int, int]   # (s, t): level 1 is x_{s*alpha + t}
+
+
+# The base family seeds at x_1 and climbs its own levels: level mu is x_mu.
+_FAMILY = {
+    Family.X: _Rules(((1, 0), (0, 0)), 2, 0, (4, 2), (0, 1)),
+    Family.R: _Rules(((-3, -1), (-1, -1)), 2, 2, (2, 2), (2, 1)),
+    Family.S: _Rules(((0, 0), (0, 0)), 1, 2, (2, 2), (2, 1)),
+    Family.Y: _Rules(((-2, -1), (-1, -1)), 2, 1, (2, 2), (2, 1)),
+    Family.Z: _Rules(((1, 0), (0, 0)), 2, 3, (6, 4), (2, 2)),
+    Family.U: _Rules(((1, 0), (1, 0)), 1, 1, (2, 2), (2, 1)),
+    Family.V: _Rules(((2, 0), (0, 0)), 2, 2, (4, 2), (2, 1)),
+    Family.W: _Rules(((0, 0), (1, 0)), 2, 3, (3, 2), (2, 1)),
 }
-
-# f in the lower bound, as a function of (level index, parity), expressed
-# through beta = number of completed level pairs; see valuation_bound.
-_BOUND_F = {
-    Family.X: lambda beta, odd: 2 if odd else 4,
-    Family.R: lambda beta, odd: 2 * beta + 2,
-    Family.S: lambda beta, odd: 2 * beta + 2,
-    Family.Y: lambda beta, odd: beta + 2,
-    Family.Z: lambda beta, odd: (3 * beta + 4) if odd else (3 * beta + 6),
-    Family.U: lambda beta, odd: beta + 2,
-    Family.V: lambda beta, odd: (2 * beta + 2) if odd else (2 * beta + 4),
-    Family.W: lambda beta, odd: (3 * beta + 2) if odd else (3 * beta + 3),
-}
-
-def _beta_of(family: Family, mu: int) -> tuple[int, bool]:
-    """Map a level index to (beta, is_odd_level) under the family's convention.
-
-    Levels pair up as mu = 2*beta+1 / 2*beta+2 except for the one-step
-    families S and U, where mu = beta + 1.
-    """
-    if family in (Family.S, Family.U):
-        return mu - 1, True
-    if mu % 2 == 1:
-        return (mu - 1) // 2, True
-    return (mu - 2) // 2, False
 
 
 def valuation_bound(family: Family, alpha: int, mu: int, j: int) -> int:
@@ -88,14 +72,10 @@ def valuation_bound(family: Family, alpha: int, mu: int, j: int) -> int:
     """
     if j < 1 or mu < 1 or alpha < 0:
         raise ValueError("alpha >= 0, mu >= 1, j >= 1 required")
-    if family is Family.X:
-        if mu not in (2 * alpha + 1, 2 * alpha + 2):
-            raise ValueError(f"base vector level {mu} does not match alpha={alpha}")
-        odd = mu % 2 == 1
-        f = _BOUND_F[family](0, odd)
-    else:
-        beta, odd = _beta_of(family, mu)
-        f = _BOUND_F[family](beta, odd)
+    if family is Family.X and mu not in (2 * alpha + 1, 2 * alpha + 2):
+        raise ValueError(f"base vector level {mu} does not match alpha={alpha}")
+    rules = _FAMILY[family]
+    f = rules.slope * ((mu - 1) // rules.per) + rules.f0[mu % 2]
     return 3 * alpha + f + (9 * j - 10) // 2 + (1 if j == 1 else 0)
 
 
@@ -159,23 +139,26 @@ def _entries(family: Family, alpha: int, mu: int, jmax: int) -> tuple[int, ...]:
 
     Entry j of a level reads entry i of the one below through
     m(4i + b, i + j + c), which vanishes outside the band
-    ceil(row / 3) <= column <= row.  So entries 1..J read entries 1..3J
-    (3c - b <= 0 for every step), and a level stepped from a whole
-    support of length L is zero past 3L + 2 (b - c <= 2).
+    ceil(row / 3) <= column <= row: only entries ceil((j + c - b) / 3) to
+    3(j + c) - b.  Every step has 3c - b <= 0 and b - c <= 2, so entries
+    1..J read entries 1..3J, and an entry past 3L + 2 reads only entries
+    past L.  A step from a level of length L thus computes
+    min(jmax * 3^(steps left), 3L + 2) entries.  No flag marks a level as
+    its whole support: `_step_vector` pops only trailing zeros it
+    computed, so past a truncated level's L lie computed zeros up to the
+    3J its successor reads.
     """
-    seed = mu if family is Family.X else 2 * alpha + (2 if family is Family.Z else 1)
+    rules, base = _FAMILY[family], _FAMILY[Family.X]
+    seed = rules.seed[0] * alpha + rules.seed[1]
     if mu < 1 or seed < 1:
         raise ValueError("level >= 1 required")
-    if seed > _X_LEVELS:
+    chain = [(base, k) for k in range(1, seed)] + [(rules, level) for level in range(1, mu)]
+    if sum(r is base for r, _ in chain) >= _X_LEVELS:  # n base steps reach x_(n+1)
         raise ValueError(f"base vectors beyond k={_X_LEVELS} are not needed at desk scale")
-    steps = [_STEP[Family.X][k % 2] for k in range(1, seed)]
-    if family is not Family.X:
-        steps += [_STEP[family][level % 2] for level in range(1, mu)]
-    vals, whole = [9], True  # x_1, a whole support
-    for n, (b, c) in enumerate(steps, start=1):
-        need = jmax * 3 ** (len(steps) - n)
-        reach = 3 * len(vals) + 2 if whole else need
-        vals, whole = _step_vector(vals, b, c, min(need, reach)), whole and need >= reach
+    vals = [9]  # x_1
+    for n, (r, level) in enumerate(chain, start=1):
+        b, c = r.step[level % 2]
+        vals = _step_vector(vals, b, c, min(jmax * 3 ** (len(chain) - n), 3 * len(vals) + 2))
     return tuple((vals + [0] * jmax)[:jmax])
 
 

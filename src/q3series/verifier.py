@@ -527,14 +527,14 @@ def _weighted_quotient_window(vec, num: int, den: int, terms: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _rhs_window(identity: GfIdentity, level: int, alpha: int, terms: int) -> list[int]:
+def _rhs_window(identity: GfIdentity, level: int, alpha: int, terms: int) -> tuple[int, ...]:
     """Exact window of the identity's right-hand side.
 
     It does not depend on ell, so the members of a residue class share
-    one cached list; callers must not mutate it.
+    one cached tuple, which no caller can mutate.
     """
     vec = family_vector(identity.family, alpha, level, terms)
-    return _weighted_quotient_window(vec, identity.num, identity.den, terms)
+    return tuple(_weighted_quotient_window(vec, identity.num, identity.den, terms))
 
 
 def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
@@ -561,7 +561,7 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     rhs = _rhs_window(identity, identity.level(params), params["alpha"], terms)
     lhs = values_at(fn, map(prog.index, range(terms)), exact)
     valuations, diff_min, hit_cap = _scan([a - b for a, b in zip(lhs, rhs)], not exact)
-    exact_equal = lhs == rhs if exact else None
+    exact_equal = tuple(lhs) == rhs if exact else None
     mod_ok = None
     if mode != "exact":
         bad = [n for n, val in enumerate(valuations) if val is not None and val < lemma_e]

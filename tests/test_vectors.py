@@ -1,5 +1,7 @@
 """Coefficient-vector families: seeds, recurrences, and 3-adic bounds."""
 
+import hashlib
+
 import pytest
 
 from q3series import vectors
@@ -59,7 +61,7 @@ def _whole_level(family, alpha, mu):
     """Level mu of a non-base family, every level stepped at its whole
     support from x_1 = (9,), with no windows: the reference."""
     def step(vec, fam, lvl):
-        b, c = vectors._STEP[fam][lvl % 2]
+        b, c = vectors._FAMILY[fam].step[lvl % 2]
         return [sum(v * m_entry(4 * i + b, i + j + c) for i, v in enumerate(vec, start=1))
                 for j in range(1, 3 * len(vec) + 3)]
 
@@ -178,3 +180,37 @@ def test_vectors_all_nonnegative_and_divisible():
         vec = family_vector(fam, 0, 2, 6)
         assert all(v >= 0 for v in vec.values)
         assert all(v % 9 == 0 for v in vec.values if v)
+
+
+def _pin(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _read(fn, *args) -> str:
+    """A call's result in hex (entries past 4,300 digits defeat str), or
+    its error message."""
+    try:
+        out = fn(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+    return ",".join(map(hex, out)) if isinstance(out, tuple) else hex(out)
+
+
+class TestFamilyTablePinned:
+    """The per-family rules, pinned by sha256 on grids computed when each
+    family's step, bound and seed were written out separately."""
+
+    def test_valuation_bound_grid(self):
+        # every family, alpha 0..3, mu 1..8, j 1..6: 1,536 calls, errors included
+        lines = [f"{f.value} {a} {mu} {j} {_read(valuation_bound, f, a, mu, j)}"
+                 for f in Family for a in range(4) for mu in range(1, 9) for j in range(1, 7)]
+        assert len(lines) == 1536
+        assert _pin(lines) == "df71c888580749d3d3635f7dba2ad84255638167f524ac97d36c79760d456d34"
+
+    def test_entries_grid(self):
+        # every family, alpha 0..1, mu 1..5, six window lengths: 480 requests
+        lines = [f"{f.value} {a} {mu} {jmax} {_read(vectors._entries, f, a, mu, jmax)}"
+                 for f in Family for a in range(2) for mu in range(1, 6)
+                 for jmax in (1, 2, 3, 5, 10, 20)]
+        assert len(lines) == 480
+        assert _pin(lines) == "cf77b212e0ddfa9e23933551e5044505b75bae538b610386558f611df738d447"

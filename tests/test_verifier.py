@@ -18,7 +18,7 @@ from q3series.counts import Kind
 from q3series.eta import EtaQuotientSpec, eta_quotient
 from q3series.report import FAIL, PASS, SKIPPED, Report
 from q3series.series import TruncatedSeries
-from q3series.vectors import family_vector, x_vector
+from q3series.vectors import family_vector, valuation_bound, x_vector
 from q3series.verifier import (SuiteConfig, SuiteReport, _exact_div, catalog, class_members,
                                instantiate, run_suite, verify_congruence, verify_gf_identity)
 
@@ -197,6 +197,23 @@ class TestIdentityLink:
                     assert B_num(params) % 8 == 0
                     assert (inst.progression.A, inst.progression.B, inst.exponent) == \
                         (A(params), B_num(params) // 8, exponent(params))
+
+    def test_lemma_exponent_is_the_family_bound(self):
+        # the bound on entry 1 of the identity's family vector is the
+        # exponent of the congruence it implies; a class takes its least member
+        points = 0
+        for identity in catalog()["identities"]:
+            for alpha in range(4):
+                for beta in range(4):
+                    params = {"alpha": alpha, "beta": beta}
+                    if "ell" in identity.implies.param_names:
+                        params["ell"] = identity.implies.ell.base(alpha)
+                    _, inst = verifier._identity_instance(identity.id, params)
+                    level = identity.level(params)
+                    assert valuation_bound(identity.family, alpha, level, 1) == inst.exponent, \
+                        (identity.id, params)
+                    points += 1
+        assert points == 224
 
     def test_errors_name_the_identity(self):
         with pytest.raises(ValueError, match=r"^T11 needs parameters \['beta'\]$"):
@@ -524,6 +541,13 @@ class TestIdentities:
         finally:
             verifier._rhs_window.cache_clear()
         assert len(calls) == 1
+
+    def test_cached_window_is_immutable(self):
+        identity = catalog()["identities"][0]
+        window = verifier._rhs_window(identity, 1, 0, 8)
+        with pytest.raises(TypeError):
+            window[0] += 1
+        assert verifier._rhs_window(identity, 1, 0, 8) is window
 
     def test_exact_mode_counterexample(self):
         rep = verify_gf_identity("T31", {"alpha": 0, "beta": 0, "ell": 3}, 12, "exact")
