@@ -2,8 +2,9 @@
 
 Output is deterministic: identical invocations produce byte-identical
 bytes on stdout.  JSON carries oversized integers as decimal strings.
-Exit codes: 0 all checks passed, 1 some check failed, 2 usage or config
-errors.
+Exit codes: 2 on a usage, parameter or config error; else 1 when a check
+that is not an open statement's failed, or a suite had a job refused or
+ran no such check (it reads FAIL or SKIPPED), and 0 otherwise.
 """
 
 from __future__ import annotations

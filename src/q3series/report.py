@@ -36,23 +36,22 @@ def _jsonable(value):
 class Report:
     """Outcome of one verification: a case id, its parameters, and failures.
 
-    status is PASS iff the check ran on at least one index and found no
-    violation; failures carry enough context to reproduce each one.
+    Failures carry enough context to reproduce each one.  The status is
+    read off the rest: SKIPPED if nothing was checked or extras carries
+    "undecided", else FAIL if there is a failure, else PASS.
     """
 
     case: str
     params: dict[str, Any] = field(default_factory=dict)
     checked: int = 0
     failures: list[dict[str, Any]] = field(default_factory=list)
-    status: str = SKIPPED
     extras: dict[str, Any] = field(default_factory=dict)
 
-    def finalize(self) -> "Report":
-        if self.checked == 0:
-            self.status = SKIPPED
-        else:
-            self.status = FAIL if self.failures else PASS
-        return self
+    @property
+    def status(self) -> str:
+        if self.checked == 0 or "undecided" in self.extras:
+            return SKIPPED
+        return FAIL if self.failures else PASS
 
     def to_dict(self) -> dict[str, Any]:
         out = {

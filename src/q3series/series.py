@@ -166,10 +166,6 @@ class TruncatedSeries:
                 base = base.mul(base)
         return result
 
-    __add__ = add
-    __mul__ = mul
-    __pow__ = pow
-
     # -- exponent surgery ---------------------------------------------
 
     def substitute_power(self, r: int) -> "TruncatedSeries":

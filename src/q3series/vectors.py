@@ -196,4 +196,4 @@ def check_valuation_bounds(family: Family, alpha_max: int, mu_max: int, jmax: in
         for bad in bound_violations(vals, family, alpha, mu):
             bad.update({"alpha": alpha, "mu": mu})
             rep.failures.append(bad)
-    return rep.finalize()
+    return rep

@@ -34,7 +34,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .arith3 import is_prime, legendre, pi3
 from .counts import CountingFunction, Kind, values_at
@@ -73,14 +73,13 @@ def _exact_div(num: int, den: int) -> int:
 
 @dataclass(frozen=True)
 class CaseInstance:
-    case: str
+    """A record at concrete parameters: its function, progression and exponent."""
+
+    record: CongruenceCase
     fn: CountingFunction
     progression: Progression
     exponent: int
     params: dict
-    n_filter: Callable[[int], bool] | None = None
-    branch: bool = False
-    conjecture: bool = False
 
 
 # -- the congruence catalog ----------------------------------------------
@@ -198,10 +197,17 @@ class CongruenceCase:
         return self.B(params) + (0 if self.ell is None else sigma * self.ell(params)) + 1
 
     def instantiate(self, params: dict) -> CaseInstance:
+        """The record at `params`: exactly its `param_names`, integers in range, or a ValueError."""
         missing = [k for k in self.param_names if k not in params]
         if missing:
             raise ValueError(f"{self.id} needs parameters {missing}")
-        params = {k: int(params[k]) for k in self.param_names}
+        unknown = sorted(set(params) - set(self.param_names))
+        if unknown:
+            raise ValueError(f"{self.id} takes no parameters {unknown}; it takes {list(self.param_names)}")
+        bad = [k for k in self.param_names if not _is_int(params[k])]
+        if bad:
+            raise ValueError(f"{self.id}: {bad[0]}={params[bad[0]]!r} must be an integer")
+        params = {k: params[k] for k in self.param_names}
         for name in ("alpha", "beta", "k", "m"):
             least = self.k_min if name == "k" else 0
             if params.get(name, least) < least:
@@ -217,12 +223,7 @@ class CongruenceCase:
                 raise ValueError(f"{self.id}: p={p} must be an odd prime")
         fn = CountingFunction(self.kind, None if self.ell is None else self.ell(params))
         prog = Progression(self.A(params), _exact_div(self.B_num(params), 8))
-        n_filter = None
-        if self.filter_p:
-            p = params["p"]
-            n_filter = lambda n, p=p: n % p != 0
-        return CaseInstance(self.id, fn, prog, self.exponent(params), params,
-                            n_filter, self.branch, self.conjecture)
+        return CaseInstance(self, fn, prog, self.exponent(params), params)
 
 
 def _case(id: str, kind: Kind, ell, A, B: tuple, exponent: str, **flags) -> CongruenceCase:
@@ -399,17 +400,15 @@ def _scan(deviations: list[int], capped: bool) -> tuple[list[int | None], int | 
 
 
 def _settle(rep: Report, hit_cap: bool, required: int) -> Report:
-    """Finalize a report, but never as PASS on what residues cannot decide.
+    """Mark the report undecided where residues cannot show it PASSes.
 
     Read off residues mod 3^_RESIDUE_CAP, a nonzero deviation has a
     valuation below the cap, so when `required` exceeds the cap it fails on
     evidence.  If none failed and the deviations read zero (`hit_cap`),
-    they show divisibility by 3^_RESIDUE_CAP only: the report is SKIPPED,
-    with the reason in extras["undecided"].
+    they show divisibility by 3^_RESIDUE_CAP only: the reason goes in
+    extras["undecided"], which makes the report SKIPPED.
     """
-    rep.finalize()
     if hit_cap and required > _RESIDUE_CAP:
-        rep.status = SKIPPED
         rep.extras["undecided"] = (f"residues mod 3^{_RESIDUE_CAP} cannot show divisibility "
                                    f"by 3^{required}")
     return rep
@@ -435,16 +434,17 @@ def verify_congruence(case_id: str, params: dict, n_max: int,
 
 def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Report:
     """The congruence check of `verify_congruence`, on a resolved instance."""
-    # a branch case fits its constant at n = 0, and a prime filter drops n = 0,
-    # so there n = 0 alone checks nothing
-    least = 1 if inst.branch or inst.n_filter else 0
+    record = inst.record
+    # a branch case fits its constant at n = 0, and a prime filter (p not
+    # dividing n) drops n = 0, so there n = 0 alone checks nothing
+    least = 1 if record.branch or record.filter_p else 0
     if n_max < least:
-        raise ValueError(f"{inst.case}: n_max={n_max} must be at least {least}")
+        raise ValueError(f"{record.id}: n_max={n_max} must be at least {least}")
     exact = inst.progression.index(n_max) < exact_threshold
-    ns = [n for n in range(n_max + 1) if inst.n_filter is None or inst.n_filter(n)]
+    ns = [n for n in range(n_max + 1) if not record.filter_p or n % inst.params["p"]]
     values = values_at(inst.fn, map(inst.progression.index, ns), exact)
-    rep = Report(case=inst.case, params=dict(inst.params) | {"n_max": n_max}, checked=len(ns))
-    if inst.branch:
+    rep = Report(case=record.id, params=dict(inst.params) | {"n_max": n_max}, checked=len(ns))
+    if record.branch:
         return _verify_branch_case(inst, rep, values, exact)
     valuations, holds, hit_cap = _scan(values, not exact)
     rep.failures = [{"n": n, "value": str(v), "valuation": val, "required": inst.exponent}
@@ -453,7 +453,7 @@ def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Rep
     rep.extras = _extras(inst.fn, inst.progression, modulus_exponent=inst.exponent,
                          engine="exact" if exact else _REDUCED_ENGINE,
                          holds_to_exponent=holds, exponent_capped=hit_cap)
-    if inst.conjecture:
+    if record.conjecture:
         rep.extras["conjecture"] = True
     return _settle(rep, hit_cap, inst.exponent)
 
@@ -588,11 +588,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-_DEPTH_GRIDS = frozenset({"alphas", "betas", "prime_alphas", "prime_betas", "prime_ks",
-                          "priors_betas", "conjecture_ks", "conjecture_ms"})
-# integer fields with a least value: the index depths from 0, the counts and
-# the prime towers' depth (whose filter drops n = 0) from 1
-_LEAST = {"n_max": 0, "n_max_small": 0, "prime_n_max": 1, "priors_n_max": 0,
+# fields with a least value, for a grid its every entry: the grids of alpha,
+# beta, k and m and the index depths from 0, the counts and the prime
+# towers' depth (whose filter drops n = 0) from 1
+_LEAST = {"alphas": 0, "betas": 0, "prime_alphas": 0, "prime_betas": 0, "prime_ks": 0,
+          "priors_betas": 0, "conjecture_ks": 0, "conjecture_ms": 0,
+          "n_max": 0, "n_max_small": 0, "prime_n_max": 1, "priors_n_max": 0,
           "conjecture_n_max": 0, "class_reps_per_sign": 1, "identity_terms": 1}
 
 
@@ -633,18 +634,18 @@ class SuiteConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
+            v, least = getattr(self, f.name), _LEAST.get(f.name)
             if isinstance(f.default, tuple):
                 want, ok = "a list of integers", isinstance(v, (list, tuple)) and all(map(_is_int, v))
-                if ok and f.name in _DEPTH_GRIDS:
-                    want, ok = "a list of integers from 0", min(v, default=0) >= 0
+                if ok and least is not None:
+                    want, ok = f"a list of integers from {least}", min(v, default=least) >= least
             elif f.default is None:
                 want, ok = "null or a list of strings", v is None or (
                     isinstance(v, (list, tuple)) and all(isinstance(x, str) for x in v))
             else:
                 want, ok = "an integer", _is_int(v)
-                if ok and f.name in _LEAST:
-                    want, ok = f"an integer from {_LEAST[f.name]}", v >= _LEAST[f.name]
+                if ok and least is not None:
+                    want, ok = f"an integer from {least}", v >= least
             if not ok:
                 raise ValueError(f"suite config field {f.name!r} must be {want}, not {v!r}")
             if isinstance(v, list):
@@ -674,16 +675,16 @@ class SuiteConfig:
 @dataclass
 class SuiteReport:
     reports: list[Report] = field(default_factory=list)
-    status: str = SKIPPED
 
-    def finalize(self) -> "SuiteReport":
+    @property
+    def status(self) -> str:
         """FAIL on any error report (a job its case refused) and on any failed
-        report but an open statement's; else PASS if one of the latter ran."""
+        gating report, one that is not an open statement's; else PASS if a
+        gating report ran, else SKIPPED."""
         gating = [r for r in self.reports if not r.extras.get("conjecture")]
         failed = any("error" in r.extras for r in self.reports) or any(r.status == FAIL for r in gating)
         ran = any(r.status != SKIPPED for r in gating)
-        self.status = FAIL if failed else PASS if ran else SKIPPED
-        return self
+        return FAIL if failed else PASS if ran else SKIPPED
 
     def by_case(self, case_id: str) -> list[Report]:
         return [r for r in self.reports if r.case == case_id]
@@ -755,9 +756,7 @@ def _suite_jobs(cfg: SuiteConfig) -> list[tuple[str, str, dict, dict]]:
 
 def _error_report(job, exc: ValueError) -> Report:
     _, jid, params, _ = job
-    rep = Report(case=jid, params=dict(params))
-    rep.extras = {"error": str(exc)}
-    return rep.finalize()
+    return Report(case=jid, params=dict(params), extras={"error": str(exc)})
 
 
 def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
@@ -781,4 +780,4 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
         except ValueError as exc:
             reports.append(_error_report(job, exc))
     reports.sort(key=lambda r: (r.case, json.dumps(r.params, sort_keys=True, default=str)))
-    return SuiteReport(reports=reports).finalize()
+    return SuiteReport(reports=reports)

@@ -202,6 +202,16 @@ class TestVerify:
                                  "--k", "0", "--m", "1", "--nmax", "20")
         assert (code, out, err) == (2, "", f"error: {case_id}: k=0 must be at least 1\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        # MR1's ell is 3^(2 alpha + 1): a stray --ell would be dropped and regular(3) checked
+        (("congruence", "--case", "MR1", "--alpha", "0", "--beta", "0", "--ell", "9", "--nmax", "5"),
+         "MR1 takes no parameters ['ell']; it takes ['alpha', 'beta']"),
+        (("identity", "--id", "H1", "--alpha", "0", "--beta", "3"),
+         "H1 takes no parameters ['beta']; it takes ['alpha']"),
+    ])
+    def test_unknown_parameter_exit_2(self, capsys, argv, message):
+        assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
     def test_identity_missing_parameter_names_identity(self, capsys):
         code, out, err = run_cli(capsys, "verify", "identity", "--id", "T11", "--alpha", "0")
         assert (code, out, err) == (2, "", "error: T11 needs parameters ['beta']\n")
@@ -250,6 +260,23 @@ class TestVerify:
                                     "n_max_small": 10, "prime_n_max": 10}))
         code, out, _ = run_cli(capsys, "verify", "suite", "--config", str(path), "--format", "text")
         assert code == 1 and out.endswith("overall: FAIL\n")
+
+
+    @pytest.mark.parametrize("include, reports", [(["BC1"], 2), ([], 0)])
+    def test_suite_without_gating_check_exits_1(self, tmp_path, capsys, include, reports):
+        # only open statements, or nothing, ran: the suite reads SKIPPED, which exits 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"include": include, "conjecture_n_max": 10}))
+        code, out, _ = run_cli(capsys, "verify", "suite", "--config", str(path), "--format", "text")
+        lines = out.splitlines()
+        assert code == 1 and lines[-1] == "overall: SKIPPED" and len(lines) == reports + 1
+        assert all(line.startswith("BC1 ") and line.endswith(": PASS") for line in lines[:-1])
+
+    def test_open_statement_alone_exits_0(self, capsys):
+        # the same check as one command gates nothing, so it exits 0
+        code, out, _ = run_cli(capsys, "verify", "congruence", "--case", "BC1", "--k", "1",
+                               "--m", "0", "--nmax", "10")
+        assert code == 0 and json.loads(out)["conjecture"] is True
 
 
 class TestSuiteConfigErrors:

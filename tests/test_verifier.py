@@ -114,6 +114,19 @@ class TestInstantiate:
         with pytest.raises(ValueError, match=f"{case_id}: {name}=-1 must be at least 0"):
             instantiate(case_id, params)
 
+    @pytest.mark.parametrize("value", [1.7, True, "0"])
+    def test_non_integer_parameter_rejected(self, value):
+        # int() would check alpha = 1 (or 0) and report it as the value given
+        with pytest.raises(ValueError) as exc:
+            verify_congruence("MR1", {"alpha": value, "beta": 0}, 5)
+        assert str(exc.value) == f"MR1: alpha={value!r} must be an integer"
+
+    def test_unknown_parameter_rejected(self):
+        # MR1's ell is 3^(2 alpha + 1): a stray ell would be dropped and regular(3) checked
+        with pytest.raises(ValueError) as exc:
+            verify_congruence("MR1", {"alpha": 0, "beta": 0, "ell": 9}, 5)
+        assert str(exc.value) == "MR1 takes no parameters ['ell']; it takes ['alpha', 'beta']"
+
     def test_negative_power_of_three_rejected(self):
         # a grid that would write 3^-1 as an ell is refused at construction
         with pytest.raises(ValueError, match="field 'alphas' must be a list of integers from 0"):
@@ -192,7 +205,7 @@ class TestIdentityLink:
                 for ell in class_members(base(P), 2) if residue_class else [base(P)]:
                     params = dict(P, ell=ell) if residue_class else P
                     _, inst = verifier._identity_instance(iid, params)
-                    assert inst.case == iid and inst.params == params
+                    assert inst.record.id == iid and inst.params == params
                     assert inst.fn.label() == f"{kind.value}({ell})"
                     assert B_num(params) % 8 == 0
                     assert (inst.progression.A, inst.progression.B, inst.exponent) == \
@@ -203,10 +216,11 @@ class TestIdentityLink:
         # exponent of the congruence it implies; a class takes its least member
         points = 0
         for identity in catalog()["identities"]:
+            names = identity.implies.param_names
             for alpha in range(4):
                 for beta in range(4):
-                    params = {"alpha": alpha, "beta": beta}
-                    if "ell" in identity.implies.param_names:
+                    params = {n: v for n, v in (("alpha", alpha), ("beta", beta)) if n in names}
+                    if "ell" in names:
                         params["ell"] = identity.implies.ell.base(alpha)
                     _, inst = verifier._identity_instance(identity.id, params)
                     level = identity.level(params)
@@ -222,6 +236,12 @@ class TestIdentityLink:
             verify_gf_identity("T31", {"alpha": 0, "beta": -1, "ell": 3})
         with pytest.raises(KeyError):
             verifier._identity_instance("MR1", {"alpha": 0, "beta": 0})
+
+    def test_parameter_the_implied_congruence_does_not_take(self):
+        # H1 implies a p3 congruence in alpha alone; a beta would be dropped
+        with pytest.raises(ValueError) as exc:
+            verify_gf_identity("H1", {"alpha": 0, "beta": 3})
+        assert str(exc.value) == "H1 takes no parameters ['beta']; it takes ['alpha']"
 
 
 def _records() -> list:
@@ -271,7 +291,7 @@ def _catalog_rows() -> list:
                 rows.append([rid, P, "error"])
                 continue
             rows.append([rid, P, inst.fn.label(), inst.progression.A, inst.progression.B,
-                         inst.exponent, inst.n_filter is not None, inst.branch, inst.conjecture])
+                         inst.exponent, inst.record.filter_p, inst.record.branch, inst.record.conjecture])
     return rows
 
 
@@ -475,7 +495,8 @@ class TestIdentities:
 
     @pytest.mark.parametrize("iid", ["H2", "T11", "D6", "T12", "T21", "T22", "T23"])
     def test_exact_families_small_grid(self, iid):
-        rep = verify_gf_identity(iid, {"alpha": 0, "beta": 0}, 12, "exact")
+        params = {"alpha": 0} if iid == "H2" else {"alpha": 0, "beta": 0}
+        rep = verify_gf_identity(iid, params, 12, "exact")
         assert rep.status == PASS, rep.to_dict()
 
     def test_class_identity_is_congruence_only(self):
@@ -721,6 +742,38 @@ def cold_state(monkeypatch):
     verifier._rhs_window.cache_clear()
 
 
+class TestDerivedStatus:
+    """A status is read off what the report or suite holds, whenever it is asked."""
+
+    FAILURE = {"n": 1, "value": "7", "valuation": 0, "required": 2}
+
+    def test_failure_appended_after_construction(self):
+        rep = Report("MR1", {"alpha": 0, "beta": 0}, checked=3)
+        assert rep.status == PASS
+        rep.failures.append(dict(self.FAILURE))
+        assert rep.status == FAIL
+
+    def test_undecided_report_is_skipped(self):
+        assert Report("MR1", failures=[dict(self.FAILURE)]).status == SKIPPED  # checked nothing
+        rep = Report("T23", checked=1)
+        assert rep.status == PASS
+        rep.extras["undecided"] = "residues mod 3^15 cannot show divisibility by 3^17"
+        assert rep.status == SKIPPED
+
+    def test_suite_follows_appended_reports(self):
+        suite = SuiteReport()
+        assert suite.status == SKIPPED
+        suite.reports.append(Report("BC1", checked=5, failures=[dict(self.FAILURE)],
+                                    extras={"conjecture": True}))
+        suite.reports.append(Report("BC2", checked=5, extras={"conjecture": True}))
+        assert suite.status == SKIPPED  # open statements only: no gating report ran
+        suite.reports.append(Report("MR1", checked=5))
+        assert suite.status == PASS
+        suite.reports.append(Report("MR4", {"p": 5}, extras={"error": "p=5 is refused"}))
+        assert suite.status == FAIL
+        assert SuiteReport([Report("MR4", extras={"error": "refused"})]).status == FAIL
+
+
 class TestSuite:
     CFG = dict(alphas=(0,), betas=(0,), n_max=30, n_max_small=40, priors_betas=(0,),
                conjecture_ms=(0,), identity_terms=10, class_reps_per_sign=1,
@@ -819,9 +872,9 @@ class TestSuite:
         # an error gates the suite even where a failed check would not (an open statement)
         job = ("congruence", "BC1", {"k": 0, "m": 0}, {"n_max": 5})
         passing = verify_congruence("MR1", {"alpha": 0, "beta": 0}, 10)
-        suite = SuiteReport([passing, verifier._error_report(job, ValueError("k=0"))]).finalize()
+        suite = SuiteReport([passing, verifier._error_report(job, ValueError("k=0"))])
         assert suite.status == FAIL
-        assert SuiteReport([passing]).finalize().status == PASS
+        assert SuiteReport([passing]).status == PASS
 
     def test_config_roundtrip(self):
         cfg = SuiteConfig(**self.CFG)
@@ -832,7 +885,9 @@ class TestSuite:
         with pytest.raises(ValueError):
             SuiteConfig.from_json('{"bogus": 1}')
 
-    @pytest.mark.parametrize("name", sorted(verifier._DEPTH_GRIDS))
+    # every grid of alpha, beta, k or m values
+    @pytest.mark.parametrize("name", ["alphas", "betas", "conjecture_ks", "conjecture_ms",
+                                      "prime_alphas", "prime_betas", "prime_ks", "priors_betas"])
     def test_config_rejects_negative_depths(self, name):
         assert SuiteConfig.from_json(json.dumps({name: [0, 2]})) == SuiteConfig(**{name: (0, 2)})
         with pytest.raises(ValueError, match=f"field '{name}' must be a list of integers from 0"):
@@ -859,12 +914,12 @@ class TestSuiteJson:
     @staticmethod
     def suite(name):
         if name == "empty":
-            return SuiteReport().finalize()
+            return SuiteReport()
         if name == "one-report":
-            return SuiteReport([verify_congruence("MR9", {"alpha": 0, "beta": 0, "ell": 6}, 30)]).finalize()
+            return SuiteReport([verify_congruence("MR9", {"alpha": 0, "beta": 0, "ell": 6}, 30)])
         if name == "error-report":
             job = ("congruence", "MR7", {"alpha": 0, "beta": 0, "ell": 4}, {"n_max": 5})
-            return SuiteReport([verifier._error_report(job, ValueError("4 is not a member"))]).finalize()
+            return SuiteReport([verifier._error_report(job, ValueError("4 is not a member"))])
         return run_suite(SuiteConfig(**TestSuite.CFG))
 
     @pytest.mark.parametrize("name", ["empty", "one-report", "error-report", "small-config"])
@@ -884,8 +939,8 @@ class TestSuiteJson:
     def test_written_one_report_at_a_time(self):
         # over 1 MB of failures; the writer may hold about one report's text
         failures = [{"n": n, "value": str(7**60 + n), "valuation": 1, "required": 5} for n in range(60)]
-        suite = SuiteReport([Report("MR9", {"alpha": 0, "ell": 6 + 9 * i}, 60, failures, FAIL)
-                             for i in range(250)]).finalize()
+        suite = SuiteReport([Report("MR9", {"alpha": 0, "ell": 6 + 9 * i}, 60, failures)
+                             for i in range(250)])
 
         class Counter(io.TextIOBase):
             size = 0
