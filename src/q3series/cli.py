@@ -3,8 +3,9 @@
 Output is deterministic: identical invocations produce byte-identical
 bytes on stdout.  JSON carries oversized integers as decimal strings.
 Exit codes: 2 on a usage, parameter or config error; else 1 when a check
-that is not an open statement's failed, or a suite had a job refused or
-ran no such check (it reads FAIL or SKIPPED), and 0 otherwise.
+that is not an open statement's failed, when a single check read SKIPPED
+(nothing decided it), or when a suite had a job refused or ran no such
+check (it reads FAIL or SKIPPED), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from importlib import resources
 from .counts import CountingFunction, Kind, count_values
 from .eta import EtaQuotientSpec, eta_quotient
 from .hmatrix import m_entry
-from .report import FAIL, PASS, dumps
+from .report import FAIL, PASS, SKIPPED, dumps
 from .vectors import Family, family_vector, valuation_bound
 from .verifier import IDENTITY_MODES, SuiteConfig, run_suite, verify_congruence, verify_gf_identity
 from .arith3 import pi3
@@ -117,7 +118,7 @@ def _finish_report(rep, fmt) -> int:
         sys.stdout.write(f"{d['case']} {dumps(d['params'])}: {d['status']}\n")
         for f in d["failures"][:10]:
             sys.stdout.write(f"  counterexample {dumps(f)}\n")
-    if rep.status == FAIL and not rep.extras.get("conjecture"):
+    if rep.status == SKIPPED or (rep.status == FAIL and not rep.extras.get("conjecture")):
         return 1
     return 0
 

@@ -26,7 +26,7 @@ them).  The recurrence alone gives the seeded 243, 243 and 6561 of rows
 from __future__ import annotations
 
 from .eta import EtaQuotientSpec, eta_quotient
-from .series import TruncatedSeries, mul_sparse
+from .series import TruncatedSeries
 
 _COLUMNS: list[list[int]] = [[9, 6, 1]]  # column j: rows j..3j, grown in order
 
@@ -39,7 +39,9 @@ def m_entry(i: int, j: int) -> int:
     if not j <= i <= 3 * j:
         return 0
     while len(_COLUMNS) < j:
-        _COLUMNS.append(mul_sparse(_COLUMNS[-1], ((0, 27), (1, 9), (2, 1)), len(_COLUMNS[-1]) + 2))
+        padded = [0, 0, *_COLUMNS[-1], 0, 0]
+        _COLUMNS.append([27 * a + 9 * b + c
+                         for c, b, a in zip(padded, padded[1:], padded[2:])])
     return _COLUMNS[j - 1][i - j]
 
 

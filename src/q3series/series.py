@@ -199,7 +199,9 @@ class TruncatedSeries:
 # The expensive expansions in this package are all of the form
 # "dense series times or divided by a very sparse one" (theta-style gap
 # sequences).  These two kernels do every exact product and solve, dense
-# ones and the m-table's columns included; the reduced twins live in modseries.
+# ones included; the reduced twins live in modseries.  The m-table's
+# three-term column recurrence (hmatrix.m_entry) is a plain comprehension,
+# which is faster there than a product through mul_sparse.
 
 
 def mul_sparse(dense: Sequence[int], terms: Sequence[tuple[int, int]], order: int) -> list[int]:

@@ -542,8 +542,12 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     """Compare a progression generating function with its vector expansion.
 
     Modes: "exact" demands coefficientwise equality; "mod" compares
-    modulo 3^lemma_exponent; "auto" runs "mod" plus an exact comparison
-    when the underlying expansion order stays under `exact_order_cap`.
+    modulo 3^lemma_exponent; "auto" runs "mod" and, when the underlying
+    expansion order stays under `exact_order_cap`, also decides exact
+    equality (`exact_checked`).  A nonzero residue of the difference
+    mod 3^_RESIDUE_CAP already shows inequality, and with it every field
+    an exact read gives, so "auto" reads the exact engine only when every
+    residue agrees or lemma_exponent exceeds _RESIDUE_CAP.
     Any other mode is a ValueError.  The observed minimum valuation of
     the difference is reported either way, so the answer to "equality or
     congruence, and to what power?" is part of every report.  A reduced
@@ -559,8 +563,21 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     rep = Report(case=identity_id, params=dict(params) | {"terms": terms, "mode": mode},
                  checked=terms)
     rhs = _rhs_window(identity, identity.level(params), params["alpha"], terms)
-    lhs = values_at(fn, map(prog.index, range(terms)), exact)
-    valuations, diff_min, hit_cap = _scan([a - b for a, b in zip(lhs, rhs)], not exact)
+    indices = [prog.index(n) for n in range(terms)]
+
+    def read(exact_read: bool):
+        lhs = values_at(fn, indices, exact_read)
+        return (lhs, *_scan([a - b for a, b in zip(lhs, rhs)], not exact_read))
+
+    # "auto" reads residues first.  A nonzero one has a valuation below the
+    # cap, so the least valuation, `bad` and each failure read the same as
+    # exactly, unless lemma_e exceeds the cap: an exact valuation in
+    # [cap, lemma_e) reads zero but fails, so that read is exact at once.
+    lhs, valuations, diff_min, hit_cap = read(exact and (mode == "exact" or lemma_e > _RESIDUE_CAP))
+    if exact and hit_cap:  # every residue agrees: only the exact read tells equality
+        lhs, valuations, diff_min, hit_cap = read(True)
+    # residues that stopped the read differ from rhs mod 3^_RESIDUE_CAP, so
+    # they differ from rhs as integers too and exact_equal reads False
     exact_equal = tuple(lhs) == rhs if exact else None
     mod_ok = None
     if mode != "exact":

@@ -105,6 +105,13 @@ class TestMTable:
         data = json.loads(out)
         assert data["rows"] == [["9", "0"], ["6", "243"]]
 
+    def test_deep_table_digest(self, capsys):
+        # 40 columns grown by the recurrence, pinned by the sha256 of the printed CSV
+        code, out, _ = run_cli(capsys, "mtable", "--imax", "60", "--jmax", "40")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "9377bdd757b210ceb948dc1472d6afc8b356aee14e731109227c0d95dd219be5"
+
     @pytest.mark.parametrize("imax, jmax", [(2, -1), (0, 3)])
     def test_size_below_one_exits_2(self, capsys, imax, jmax):
         code, out, err = run_cli(capsys, "mtable", "--imax", str(imax), "--jmax", str(jmax))
@@ -271,6 +278,13 @@ class TestVerify:
         lines = out.splitlines()
         assert code == 1 and lines[-1] == "overall: SKIPPED" and len(lines) == reports + 1
         assert all(line.startswith("BC1 ") and line.endswith(": PASS") for line in lines[:-1])
+
+    def test_undecided_single_check_exits_1(self, capsys):
+        # MR19 needs 3^16 there and residues mod 3^15 read zero: SKIPPED exits 1,
+        # as a SKIPPED suite does, so no script takes it for a pass
+        code, out, _ = run_cli(capsys, "verify", "congruence", "--case", "MR19", "--alpha", "3",
+                               "--beta", "0", "--nmax", "3", "--format", "text")
+        assert (code, out) == (1, 'MR19 {"alpha":3,"beta":0,"n_max":3}: SKIPPED\n')
 
     def test_open_statement_alone_exits_0(self, capsys):
         # the same check as one command gates nothing, so it exits 0

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from q3series import cli, counts, hmatrix, modseries, verifier
+from q3series.arith3 import pi3
 from q3series.counts import Kind
 from q3series.eta import EtaQuotientSpec, eta_quotient
 from q3series.report import FAIL, PASS, SKIPPED, Report
@@ -27,6 +28,8 @@ from q3series.verifier import (SuiteConfig, SuiteReport, _exact_div, catalog, cl
 # where 39 congruence and 2 identity jobs read the reduced engine.  Regenerate
 # it only with a change that is meant to alter reports.
 GOLDEN = Path(__file__).parent / "data" / "suite_small_golden.json"
+# the benchmark's identity catalog at a 100-term window
+IDENTITY_WINDOWS = Path(__file__).parent.parent / "perfbench" / "configs" / "identity-windows.json"
 
 
 def suite_json(suite) -> str:
@@ -574,6 +577,67 @@ class TestIdentities:
         rep = verify_gf_identity("T31", {"alpha": 0, "beta": 0, "ell": 3}, 12, "exact")
         assert rep.status == FAIL
         assert rep.failures[0]["required"] == "exact"
+
+    def test_auto_report_equals_exact_reading(self):
+        # every auto job of the benchmark's identity grid, recomputed from the
+        # exact left side: the residue read must give the same report
+        cfg = SuiteConfig.from_json(IDENTITY_WINDOWS.read_text())
+        jobs = [(iid, P) for kind, iid, P, opts in verifier._suite_jobs(cfg)
+                if kind == "identity" and opts["mode"] == "auto"]
+        assert len(jobs) == 24
+        terms = cfg.identity_terms
+        for iid, params in jobs:
+            rep = verify_gf_identity(iid, params, terms, "auto", cfg.identity_exact_cap)
+            identity, inst = verifier._identity_instance(iid, params)
+            e = inst.exponent
+            rhs = verifier._rhs_window(identity, identity.level(inst.params), params["alpha"], terms)
+            lhs = counts.values_at(inst.fn, [inst.progression.index(n) for n in range(terms)], True)
+            valuations = [pi3(a - b) for a, b in zip(lhs, rhs)]
+            least = min((v for v in valuations if v is not None), default=None)
+            bad = [n for n, v in enumerate(valuations) if v is not None and v < e]
+            read = {k: rep.extras[k] for k in ("exact_checked", "exact_equal", "mod_equal",
+                                                "diff_valuation", "diff_valuation_capped")}
+            assert read == {"exact_checked": True, "exact_equal": lhs == list(rhs),
+                            "mod_equal": not bad, "diff_valuation": least,
+                            "diff_valuation_capped": False}, (iid, params)
+            assert rep.failures == [{"n": n, "value": str(lhs[n] % 3**e),
+                                     "expected": str(rhs[n] % 3**e), "valuation": least,
+                                     "required": e} for n in bad[:1]], (iid, params)
+
+    @pytest.mark.parametrize("iid", ["T11", "T21"])
+    def test_auto_agreeing_residues_read_exactly(self, cold_state, iid):
+        # every residue of the difference is zero, so only the exact read tells equality
+        rep = verify_gf_identity(iid, {"alpha": 0, "beta": 0}, 30, "auto")
+        assert rep.extras["exact_equal"] is True and rep.extras["diff_valuation"] is None
+        assert len(counts._inv_cube) > 0
+
+    def test_auto_differing_residue_skips_exact_read(self, cold_state):
+        # a nonzero residue decides exact_equal: the exact base is never grown
+        rep = verify_gf_identity("T24", {"alpha": 0, "beta": 0, "ell": 3}, 100, "auto")
+        assert rep.extras["exact_checked"] is True and rep.extras["exact_equal"] is False
+        assert counts._inv_cube == []
+
+    @pytest.mark.parametrize("exponent, exact_reads, first_bad", [(15, [False], 1), (16, [True], 0)])
+    def test_auto_lemma_exponent_above_cap_reads_exactly(self, monkeypatch, exponent, exact_reads,
+                                                         first_bad):
+        # a difference of valuation 15 at n = 0 reads zero mod 3^15; it fails
+        # only a lemma exponent above 15, where residues would name n = 1
+        identity, inst = verifier._identity_instance("T24", {"alpha": 0, "beta": 0, "ell": 3})
+        rhs = verifier._rhs_window(identity, identity.level(inst.params), 0, 3)
+        lhs = [rhs[0] + 3**15, rhs[1] + 1, rhs[2]]
+        reads = []
+
+        def spy(fn, indices, exact):
+            reads.append(exact)
+            return lhs if exact else [v % 3**15 for v in lhs]
+
+        monkeypatch.setattr(verifier, "values_at", spy)
+        monkeypatch.setattr(verifier, "_identity_instance",
+                            lambda iid, params: (identity, dataclasses.replace(inst, exponent=exponent)))
+        rep = verify_gf_identity("T24", inst.params, 3, "auto")
+        assert reads == exact_reads
+        assert [f["n"] for f in rep.failures] == [first_bad]
+        assert rep.extras["exact_equal"] is False and rep.extras["diff_valuation"] == 0
 
     def test_seed_reading_probe(self):
         # the one-step families really do start from the odd base vector
