@@ -5,22 +5,25 @@ bytes on stdout.  JSON carries oversized integers as decimal strings.
 Exit codes: 2 on a usage, parameter or config error; else 1 when a check
 that is not an open statement's failed, when a single check read SKIPPED
 (nothing decided it), or when a suite had a job refused or ran no such
-check (it reads FAIL or SKIPPED), and 0 otherwise.
+check (it reads FAIL or SKIPPED), and 0 otherwise.  A reader that closes
+the pipe early (`| head`) ends the output with exit code 141, the
+128 + SIGPIPE a shell reports for a writer killed by a closed pipe, and
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterator
 from importlib import resources
 
 from .counts import CountingFunction, Kind, count_values
 from .eta import EtaQuotientSpec, eta_quotient
-from .hmatrix import m_entry
 from .report import FAIL, PASS, SKIPPED, dumps
-from .vectors import Family, family_vector, valuation_bound
+from .vectors import Family, family_vector, m_entry, valuation_bound
 from .verifier import IDENTITY_MODES, SuiteConfig, run_suite, verify_congruence, verify_gf_identity
 from .arith3 import pi3
 
@@ -55,7 +58,9 @@ _KINDS = {k.value: k for k in Kind}
 
 def _cmd_count(args) -> int:
     kind = _KINDS[args.kind]
-    fn = CountingFunction(kind, args.ell if kind is not Kind.P3 else None)
+    if kind is Kind.P3 and args.ell is not None:
+        raise ValueError("p3 takes no --ell")
+    fn = CountingFunction(kind, args.ell)
     if not 0 <= args.nmin <= args.nmax:
         raise ValueError("need 0 <= nmin <= nmax")
     values = [str(v) for v in count_values(fn, args.nmax + 1)[args.nmin:]]
@@ -223,6 +228,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more on exit: let it reach devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

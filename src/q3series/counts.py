@@ -11,10 +11,10 @@ All three are the base 1/E(q)^3 times or divided by E(q^l)^3.  The exact
 engine keeps that base in big integers, the reduced one mod 3^15, and
 neither keeps anything else: `values_at` reads coefficients off the base
 (short sums, or for exact two-color triples one back-substitution per
-residue class mod l), `count_values(_mod)` expand in full.  A
-deliberately dumb unbounded-knapsack enumerator over colored parts
-provides the independent oracle for small n; it shares no code with the
-series route.
+residue class mod l), `count_values(_mod)` expand in full.  The tests
+hold the independent oracle for small n, an unbounded-knapsack
+enumerator over colored parts (`tests/oracles.py`) that shares no code
+with the series route.
 """
 
 from __future__ import annotations
@@ -146,35 +146,3 @@ def values_at(fn: CountingFunction, indices, exact: bool) -> list[int]:
         reach = np.searchsorted(gaps, indices, side="right")
         pairs = ((coeffs[:m] % _MOD, base[i - gaps[:m]]) for i, m in zip(indices, reach))
     return [int((w * v % _MOD).sum()) % _MOD for w, v in pairs]
-
-
-# -- independent oracle ------------------------------------------------
-
-ENUMERATION_LIMIT = 30
-
-
-def enumerate_count(fn: CountingFunction, n: int) -> int:
-    """Count directly by dynamic programming over colored parts.
-
-    Items are (part size, color) pairs: every part size in three colors,
-    and for the two-color-triple function three extra colors on parts
-    divisible by l; the regular-triple function strikes multiples of l
-    entirely.  No series arithmetic is involved.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration is guarded at n <= {ENUMERATION_LIMIT}")
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for part in range(1, n + 1):
-        if fn.kind is Kind.REGULAR_TRIPLE and part % fn.ell == 0:
-            colors = 0
-        elif fn.kind is Kind.TWO_COLOR_TRIPLE and part % fn.ell == 0:
-            colors = 6
-        else:
-            colors = 3
-        for _ in range(colors):
-            for total in range(part, n + 1):
-                ways[total] += ways[total - part]
-    return ways[n]

@@ -11,7 +11,6 @@ time of one pentagonal factor per power.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -48,40 +47,6 @@ def jacobi_cube_terms(r: int, order: int) -> list[tuple[int, int]]:
         out.append((e, (2 * n + 1) if n % 2 == 0 else -(2 * n + 1)))
         n += 1
     return out
-
-
-def euler_series(r: int, order: int) -> TruncatedSeries:
-    """E(q^r) as a truncated series, built from its pentagonal support."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return TruncatedSeries.from_terms(euler_terms(r, order), order)
-
-
-def jacobi_cube(order: int) -> TruncatedSeries:
-    """E(q)^3 written through its odd-weight triangular-number expansion."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return TruncatedSeries.from_terms(jacobi_cube_terms(1, order), order)
-
-
-def p_cap_series(order: int) -> TruncatedSeries:
-    """The bilateral level-3 theta sum: sum over all integers n of
-    (-1)^n (6n+1) q^{n(3n+1)/2}.
-
-    Together with E(q^9)^3 it splits E(q)^3 by exponent residue mod 3.
-    The summation range |n| <= ceil(sqrt(2*order/3)) + 2 covers every
-    exponent below the window.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    bound = math.isqrt(2 * order // 3 + 1) + 2
-    terms = []
-    for n in range(-bound, bound + 1):
-        e = n * (3 * n + 1) // 2
-        if e < order:
-            sign = 1 if n % 2 == 0 else -1
-            terms.append((e, sign * (6 * n + 1)))
-    return TruncatedSeries.from_terms(terms, order)
 
 
 @dataclass(frozen=True)

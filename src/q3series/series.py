@@ -6,12 +6,7 @@ is zero.  ``order`` is the truncation guarantee: coefficients are correct
 for all exponents strictly below it.  Values are immutable after
 construction, so a cache can hand the same series to every caller.
 
-Truncation bookkeeping follows the usual rules for exact windows:
-
-* ``a + b``     keeps ``min(a.order, b.order)``
-* ``a * b``     keeps ``min(a.order + b.offset, b.order + a.offset)``
-* ``1 / a``     keeps ``a.order - 2 * v`` where ``v`` is the valuation of ``a``
-
+A product ``a * b`` keeps ``min(a.order + b.offset, b.order + a.offset)``.
 Callers that need a result correct to order N must build the operands
 with enough headroom; nothing here silently reuses garbage coefficients.
 """
@@ -66,7 +61,7 @@ class TruncatedSeries:
             coeffs[e - offset] += c
         return TruncatedSeries(offset, coeffs, order)
 
-    # -- basic accessors ----------------------------------------------
+    # -- access and product -------------------------------------------
 
     def coeff(self, exponent: int) -> int:
         """Coefficient of q**exponent; exponents >= order are not known."""
@@ -75,49 +70,6 @@ class TruncatedSeries:
         if exponent < self.offset:
             return 0
         return self.coeffs[exponent - self.offset]
-
-    def valuation(self) -> int | None:
-        """Lowest exponent with a nonzero coefficient, None for the zero window."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return self.offset + i
-        return None
-
-    def terms(self) -> list[tuple[int, int]]:
-        return [(self.offset + i, c) for i, c in enumerate(self.coeffs) if c]
-
-    def agrees_with(self, other: "TruncatedSeries", upto: int | None = None) -> bool:
-        """Coefficientwise equality on the common valid window."""
-        stop = min(self.order, other.order)
-        if upto is not None:
-            stop = min(stop, upto)
-        start = min(self.offset, other.offset)
-        return all(self.coeff(e) == other.coeff(e) for e in range(start, stop))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.agrees_with(other)
-
-    __hash__ = None  # mathematically-equal windows compare equal; not hashable
-
-    def __repr__(self) -> str:
-        shown = self.terms()[:6]
-        body = " + ".join(f"{c}*q^{e}" for e, c in shown) or "0"
-        more = " + ..." if len(self.terms()) > 6 else ""
-        return f"<series {body}{more} + O(q^{self.order})>"
-
-    # -- ring operations ----------------------------------------------
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        offset = min(self.offset, other.offset)
-        coeffs = [0] * (order - offset)
-        for s in (self, other):
-            hi = min(s.order, order)
-            for e in range(s.offset, hi):
-                coeffs[e - offset] += s.coeffs[e - s.offset]
-        return TruncatedSeries(offset, coeffs, order)
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Product on the common window, by `mul_sparse` on the nonzero terms of `self`."""
@@ -129,70 +81,6 @@ class TruncatedSeries:
         terms = [(i, a) for i, a in enumerate(self.coeffs) if a]
         return TruncatedSeries(offset, mul_sparse(other.coeffs, terms, n), order)
 
-    def scale(self, k: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.offset, [k * c for c in self.coeffs], self.order)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the leading coefficient must be a unit (+-1).
-
-        Eta-quotients all satisfy this, which keeps every computation in
-        exact integer arithmetic.
-        """
-        v = self.valuation()
-        if v is None:
-            raise ZeroDivisionError("cannot invert the zero series")
-        lead = self.coeff(v)
-        if lead not in (1, -1):
-            raise ValueError(f"leading coefficient {lead} is not a unit; inverse would leave Z[[q]]")
-        n = self.order - v  # relative precision available at the valuation
-        if n <= 0:
-            raise ValueError("window too small to invert at this valuation")
-        monic = [(e - v, lead * c) for e, c in self.terms()]
-        return TruncatedSeries(-v, solve_monic_sparse(monic, [lead], n), n - v)
-
-    def pow(self, e: int) -> "TruncatedSeries":
-        if e < 0:
-            return self.inverse().pow(-e)
-        if e == 0:
-            return TruncatedSeries.one(self.order - self.offset)
-        result = None
-        base = self
-        k = e
-        while k:
-            if k & 1:
-                result = base if result is None else result.mul(base)
-            k >>= 1
-            if k:
-                base = base.mul(base)
-        return result
-
-    # -- exponent surgery ---------------------------------------------
-
-    def substitute_power(self, r: int) -> "TruncatedSeries":
-        """Replace q by q**r (r >= 1); exponent k becomes r*k."""
-        if r < 1:
-            raise ValueError("substitution power must be >= 1")
-        if r == 1:
-            return self
-        order = r * (self.order - 1) + 1
-        if not self.coeffs:
-            return TruncatedSeries.zero(order)
-        offset = r * self.offset
-        coeffs = [0] * (order - offset)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                coeffs[r * i] = c
-        return TruncatedSeries(offset, coeffs, order)
-
-    def extract_progression(self, r: int, s: int) -> "TruncatedSeries":
-        """Keep coefficients at exponents congruent to s mod r, exponents
-        kept as they are (the huffing-style operator)."""
-        if r < 1 or not 0 <= s < r:
-            raise ValueError("need r >= 1 and 0 <= s < r")
-        coeffs = [c if (self.offset + i - s) % r == 0 else 0
-                  for i, c in enumerate(self.coeffs)]
-        return TruncatedSeries(self.offset, coeffs, self.order)
-
 
 # -- sparse kernels ----------------------------------------------------
 #
@@ -200,7 +88,7 @@ class TruncatedSeries:
 # "dense series times or divided by a very sparse one" (theta-style gap
 # sequences).  These two kernels do every exact product and solve, dense
 # ones included; the reduced twins live in modseries.  The m-table's
-# three-term column recurrence (hmatrix.m_entry) is a plain comprehension,
+# three-term column recurrence (vectors.m_entry) is a plain comprehension,
 # which is faster there than a product through mul_sparse.
 
 

@@ -28,8 +28,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from .arith3 import pi3
-from .hmatrix import m_entry
-from .report import Report
 
 
 class Family(Enum):
@@ -114,6 +112,46 @@ class CoeffVector:
             raise ValueError(f"valuation bound violated: {bad[:3]}")
 
 
+_COLUMNS: list[list[int]] = [[9, 6, 1]]  # column j: rows j..3j, grown in order
+
+
+def m_entry(i: int, j: int) -> int:
+    """Entry m(i, j), i, j >= 1, of the m-table of the huffing step.
+
+    Keeping the coefficients at exponents divisible by 3, exponents
+    unchanged, sends negative powers of the base quotient
+
+        zeta = E(q)^3 / (q * E(q^9)^3),      T = E(q^3)^12 / (q^3 * E(q^9)^12)
+
+    to integer combinations of negative powers of T: (1/zeta)^i goes to
+    sum_j m(i, j) (1/T)^j.  The table is seeded by its first three rows
+
+        9
+        6   243
+        1   243   6561
+
+    and continued by m(i,j) = 27 m(i-1,j-1) + 9 m(i-2,j-1) + m(i-3,j-1)
+    with m(i,1) = 0 for i > 3.  Entries vanish outside the band
+    ceil(i/3) <= j <= i, which the recurrence preserves.
+
+    Column j reads only column j-1, so the table is filled column by
+    column: column 1 is (9, 6, 1) on rows 1..3, and column k holds rows
+    k..3k, each entry the recurrence over rows k-1..3k-3 of column k-1
+    (zero outside them).  The recurrence alone gives the seeded 243, 243
+    and 6561 of rows 2 and 3, so column 1 is the only seed.  Whole columns
+    are appended in order and a built column is never changed.
+    """
+    if i < 1 or j < 1:
+        raise ValueError("indices are 1-based")
+    if not j <= i <= 3 * j:
+        return 0
+    while len(_COLUMNS) < j:
+        padded = [0, 0, *_COLUMNS[-1], 0, 0]
+        _COLUMNS.append([27 * a + 9 * b + c
+                         for c, b, a in zip(padded, padded[1:], padded[2:])])
+    return _COLUMNS[j - 1][i - j]
+
+
 def _step_vector(prev: list[int], b: int, c: int, jcap: int) -> list[int]:
     """Apply one huffing step; the result is trimmed to its support or jcap.
     Entry j reads entry i only inside the band of m(4i + b, i + j + c),
@@ -162,11 +200,6 @@ def _entries(family: Family, alpha: int, mu: int, jmax: int) -> tuple[int, ...]:
     return tuple((vals + [0] * jmax)[:jmax])
 
 
-def x_vector(k: int, jmax: int) -> CoeffVector:
-    """Base vector x_k padded or truncated to jmax entries; k must lie in 1..8."""
-    return family_vector(Family.X, (k - 1) // 2, k, jmax)
-
-
 def family_vector(family: Family, alpha: int, mu: int, jmax: int) -> CoeffVector:
     """Family vector at (alpha, mu) with entries 1..jmax.
 
@@ -176,24 +209,3 @@ def family_vector(family: Family, alpha: int, mu: int, jmax: int) -> CoeffVector
     follow the family's alternating huffing step.
     """
     return CoeffVector(family, alpha, mu, jmax, _entries(family, alpha, mu, jmax))
-
-
-def check_valuation_bounds(family: Family, alpha_max: int, mu_max: int, jmax: int) -> Report:
-    """Assert the family's lower bound on every entry of a parameter grid.
-
-    Violations become report entries rather than exceptions so that a
-    whole grid can be surveyed in one pass.
-    """
-    rep = Report(case=f"valuation-bounds-{family.value}",
-                 params={"alpha_max": alpha_max, "mu_max": mu_max, "jmax": jmax})
-    if family is Family.X:
-        grid = [((k - 1) // 2, k) for k in range(1, mu_max + 1)]
-    else:
-        grid = [(a, mu) for a in range(alpha_max + 1) for mu in range(1, mu_max + 1)]
-    for alpha, mu in grid:
-        vals = _entries(family, alpha, mu, jmax)
-        rep.checked += len(vals)
-        for bad in bound_violations(vals, family, alpha, mu):
-            bad.update({"alpha": alpha, "mu": mu})
-            rep.failures.append(bad)
-    return rep

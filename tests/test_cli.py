@@ -1,8 +1,11 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import ast
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,7 +16,11 @@ import pytest
 
 import q3series
 from q3series.cli import main
-from q3series.counts import CountingFunction, Kind, enumerate_count
+from q3series.counts import CountingFunction, Kind
+from q3series.series import TruncatedSeries
+
+import oracles
+from oracles import enumerate_count
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +91,11 @@ class TestCount:
     def test_missing_ell_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "count", "--kind", "regular", "--nmax", "5")
         assert code == 2
+
+    def test_p3_ell_exits_2(self, capsys):
+        # p3 has no modulus: a stray --ell would be dropped and p3 printed
+        assert run_cli(capsys, "count", "--kind", "p3", "--ell", "5", "--nmax", "3") == \
+            (2, "", "error: p3 takes no --ell\n")
 
 
 class TestMTable:
@@ -364,18 +376,55 @@ def test_unknown_flag_exits_2(capsys):
     assert main(["mtable", "--imax", "2", "--jmax", "2", "--bogus"]) == 2
 
 
+def _child_env() -> dict:
+    """The environment of a child that imports the package this process
+    imported, installed or not."""
+    src = str(Path(q3series.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_byte_identical_reruns():
     cmd = [sys.executable, "-m", "q3series.cli", "verify", "congruence",
            "--case", "G1", "--beta", "0", "--nmax", "40"]
-    # the child imports the package this process imported, installed or not
-    src = str(Path(q3series.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    a = subprocess.run(cmd, capture_output=True, env=env)
-    b = subprocess.run(cmd, capture_output=True, env=env)
+    a = subprocess.run(cmd, capture_output=True, env=_child_env())
+    b = subprocess.run(cmd, capture_output=True, env=_child_env())
     assert a.stdout == b.stdout and a.returncode == b.returncode == 0
+
+
+def test_closed_pipe_exits_141_quietly():
+    # the reader takes one line of 3.6 MB and closes the pipe, as `| head -1` does
+    cmd = [sys.executable, "-m", "q3series.cli", "count", "--kind", "p3", "--nmax", "20000"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=_child_env()) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (first, code, err) == (b"0\t1\n", 141, b"")
 
 
 def test_package_exports_resolve():
     # a name left in __all__ after its object is gone would break `import *`
     missing = [name for name in q3series.__all__ if not hasattr(q3series, name)]
     assert missing == []
+
+
+def test_public_api_is_pinned():
+    # an addition to the public names is deliberate; the test oracles stay out of the package
+    assert sorted(q3series.__all__) == [
+        "CoeffVector", "CountingFunction", "EtaQuotientSpec", "Family", "Kind", "SuiteConfig",
+        "TruncatedSeries", "catalog", "eta_quotient", "family_vector", "instantiate", "m_entry",
+        "pi3", "run_suite", "valuation_bound", "verify_congruence", "verify_gf_identity",
+    ]
+    assert sorted(n for n in vars(TruncatedSeries) if not n.startswith("_")) == [
+        "coeff", "coeffs", "from_terms", "mul", "offset", "one", "order", "zero"]
+    defined = []
+    for node in ast.parse(Path(oracles.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    assert "enumerate_count" in defined and "_H_LEMMA" in defined
+    modules = [q3series] + [importlib.import_module(f"q3series.{m.name}")
+                            for m in pkgutil.iter_modules(q3series.__path__)]
+    assert [(m.__name__, n) for m in modules for n in defined if hasattr(m, n)] == []

@@ -14,10 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 import q3series
 from q3series import counts, modseries
 from q3series.arith3 import pi3
-from q3series.counts import (CountingFunction, Kind, count_values, count_values_mod,
-                             enumerate_count, values_at)
+from q3series.counts import CountingFunction, Kind, count_values, count_values_mod, values_at
 from q3series.eta import jacobi_cube_terms
 from q3series.series import solve_monic_sparse
+
+from oracles import enumerate_count
 
 
 class TestSeriesRoute:
@@ -68,10 +69,6 @@ class TestEnumerationOracle:
                    CountingFunction(Kind.REGULAR_TRIPLE, 4),
                    CountingFunction(Kind.TWO_COLOR_TRIPLE, 4)):
             assert enumerate_count(fn, 0) == 1
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_count(CountingFunction(Kind.P3), 31)
 
     @pytest.mark.parametrize("ell", [2, 3, 6, 9])
     def test_matches_series_route(self, ell):

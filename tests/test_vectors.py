@@ -6,21 +6,19 @@ import pytest
 
 from q3series import vectors
 from q3series.arith3 import pi3
-from q3series.hmatrix import m_entry
-from q3series.vectors import (Family, bound_violations, check_valuation_bounds,
-                              family_vector, valuation_bound, x_vector)
+from q3series.vectors import Family, bound_violations, family_vector, m_entry, valuation_bound
 
 
 class TestBaseVectors:
     def test_seed(self):
-        assert x_vector(1, 4).values == (9, 0, 0, 0)
+        assert family_vector(Family.X, 0, 1, 4).values == (9, 0, 0, 0)
 
     def test_first_step(self):
-        assert x_vector(2, 1).value(1) == 9 * m_entry(4, 2) == 810
+        assert family_vector(Family.X, 0, 2, 1).value(1) == 9 * m_entry(4, 2) == 810
 
     def test_level_two_support(self):
         # one seed entry spreads along row 4 of the table, then stops
-        v = x_vector(2, 6)
+        v = family_vector(Family.X, 0, 2, 6)
         assert v.values == (9 * m_entry(4, 2), 9 * m_entry(4, 3), 9 * m_entry(4, 4), 0, 0, 0)
 
     def test_level_three_from_identity_coefficients(self):
@@ -28,7 +26,7 @@ class TestBaseVectors:
         from q3series.counts import CountingFunction, Kind, count_values
 
         p3 = count_values(CountingFunction(Kind.P3), 18)
-        assert x_vector(3, 1).value(1) == p3[17]
+        assert family_vector(Family.X, 1, 3, 1).value(1) == p3[17]
 
     def test_bound_at_seed(self):
         assert valuation_bound(Family.X, 0, 1, 1) == 2
@@ -38,13 +36,14 @@ class TestBaseVectors:
 class TestFamilySeedsAndSteps:
     def test_odd_single_product_seed_is_base(self):
         assert family_vector(Family.R, 0, 1, 3).values == (9, 0, 0)
-        assert family_vector(Family.R, 1, 1, 3).values == x_vector(3, 3).values
+        assert family_vector(Family.R, 1, 1, 3).values == family_vector(Family.X, 1, 3, 3).values
 
     def test_odd_single_product_first_step(self):
         assert family_vector(Family.R, 0, 2, 1).value(1) == 9 * m_entry(3, 1) == 9
 
     def test_even_class_seed_is_even_base(self):
-        assert family_vector(Family.Z, 0, 1, 2).values == x_vector(2, 2).values == (810, 78732)
+        x2 = family_vector(Family.X, 0, 2, 2)
+        assert family_vector(Family.Z, 0, 1, 2).values == x2.values == (810, 78732)
 
     def test_one_step_families_share_seed(self):
         for fam in (Family.S, Family.U, Family.V, Family.W, Family.Y):
@@ -100,8 +99,6 @@ class TestChain:
 
     def test_base_vectors_stop_at_eight(self):
         with pytest.raises(ValueError):
-            x_vector(9, 1)
-        with pytest.raises(ValueError):
             family_vector(Family.X, 4, 9, 1)
 
     def test_level_zero_rejected(self):
@@ -120,8 +117,8 @@ class TestChain:
             family_vector(family, alpha, 1, 3)
 
     def test_family_seed_is_base_level(self):
-        assert family_vector(Family.Z, 1, 1, 30).values == x_vector(4, 30).values
-        assert family_vector(Family.Y, 1, 1, 30).values == x_vector(3, 30).values
+        assert family_vector(Family.Z, 1, 1, 30).values == family_vector(Family.X, 1, 4, 30).values
+        assert family_vector(Family.Y, 1, 1, 30).values == family_vector(Family.X, 1, 3, 30).values
 
     def test_window_grows_on_demand(self):
         # a short window is the prefix of a longer one, and a window past
@@ -156,9 +153,11 @@ class TestBoundFormula:
 class TestBoundChecks:
     @pytest.mark.parametrize("family", list(Family))
     def test_grid_passes(self, family):
-        rep = check_valuation_bounds(family, alpha_max=1, mu_max=4, jmax=6)
-        assert rep.status == "PASS", rep.failures
-        assert rep.checked > 0
+        # CoeffVector refuses any entry below the bound: alpha <= 1, mu <= 4, X at k <= 4
+        grid = ([((k - 1) // 2, k) for k in range(1, 5)] if family is Family.X
+                else [(a, mu) for a in range(2) for mu in range(1, 5)])
+        for alpha, mu in grid:
+            assert len(family_vector(family, alpha, mu, 6).values) == 6
 
     def test_tampered_value_reported(self):
         good = family_vector(Family.R, 0, 2, 3).values

@@ -13,13 +13,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from q3series import cli, counts, hmatrix, modseries, verifier
+from q3series import cli, counts, modseries, vectors, verifier
 from q3series.arith3 import pi3
 from q3series.counts import Kind
 from q3series.eta import EtaQuotientSpec, eta_quotient
 from q3series.report import FAIL, PASS, SKIPPED, Report
 from q3series.series import TruncatedSeries
-from q3series.vectors import family_vector, valuation_bound, x_vector
+from q3series.vectors import Family, family_vector, valuation_bound
 from q3series.verifier import (SuiteConfig, SuiteReport, _exact_div, catalog, class_members,
                                instantiate, run_suite, verify_congruence, verify_gf_identity)
 
@@ -686,8 +686,8 @@ def _seed_reading(identity_id: str, alpha: int, terms: int = 20) -> dict:
     lhs = counts.values_at(inst.fn, map(inst.progression.index, range(terms)), True)
     verdict = {}
     for label, k in (("odd_base_seed", 2 * alpha + 1), ("even_base_seed", 2 * alpha + 2)):
-        window = verifier._weighted_quotient_window(x_vector(k, terms), identity.num,
-                                                    identity.den, terms)
+        seed = family_vector(Family.X, alpha, k, terms)
+        window = verifier._weighted_quotient_window(seed, identity.num, identity.den, terms)
         verdict[label] = window == lhs
     return verdict
 
@@ -801,7 +801,7 @@ def cold_state(monkeypatch):
     mod_base.setflags(write=False)
     monkeypatch.setattr(counts, "_inv_cube", [])
     monkeypatch.setattr(counts, "_mod_base", mod_base)
-    monkeypatch.setattr(hmatrix, "_COLUMNS", [[9, 6, 1]])
+    monkeypatch.setattr(vectors, "_COLUMNS", [[9, 6, 1]])
     monkeypatch.setattr(verifier, "_ratio_powers", {})
     verifier._rhs_window.cache_clear()
 
@@ -869,7 +869,7 @@ class TestSuite:
         golden = json.loads(GOLDEN.read_text())[name]
         suite = run_suite(SuiteConfig(**dict(self.CFG, **thresholds)))
         assert json.dumps(json.loads(suite_json(suite)), sort_keys=True) == json.dumps(golden, sort_keys=True)
-        assert len(hmatrix._COLUMNS) > 1 and verifier._ratio_powers
+        assert len(vectors._COLUMNS) > 1 and verifier._ratio_powers
         assert len(counts._inv_cube) > 1 and (name == "default" or len(counts._mod_base) > 1)
 
     def test_include_filter(self):
