@@ -1,4 +1,4 @@
-"""3-adic valuation and the elementary predicates used by congruence checks.
+"""3-adic valuation and the primality test used by congruence checks.
 
 A valuation is a plain int; the valuation of 0, which is infinite, is
 None.  A caller that compares it against a bound must handle None first:
@@ -44,13 +44,3 @@ def is_prime(n: int) -> bool:
         d += 2
     return True
 
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) by Euler's criterion; p must be an odd prime."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    t = pow(a, (p - 1) // 2, p)
-    return 1 if t == 1 else -1

@@ -14,11 +14,9 @@ nothing on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterator
-from importlib import resources
 
 from .counts import CountingFunction, Kind, count_values
 from .eta import EtaQuotientSpec, eta_quotient
@@ -57,10 +55,7 @@ _KINDS = {k.value: k for k in Kind}
 
 
 def _cmd_count(args) -> int:
-    kind = _KINDS[args.kind]
-    if kind is Kind.P3 and args.ell is not None:
-        raise ValueError("p3 takes no --ell")
-    fn = CountingFunction(kind, args.ell)
+    fn = CountingFunction(_KINDS[args.kind], args.ell)
     if not 0 <= args.nmin <= args.nmax:
         raise ValueError("need 0 <= nmin <= nmax")
     values = [str(v) for v in count_values(fn, args.nmax + 1)[args.nmin:]]
@@ -138,24 +133,18 @@ def _cmd_verify_identity(args) -> int:
     return _finish_report(rep, args.format)
 
 
-def default_suite_config() -> SuiteConfig:
-    with resources.files("q3series").joinpath("data/suite_default.json").open() as fh:
-        return SuiteConfig.from_json(fh.read())
-
-
 def _cmd_verify_suite(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = SuiteConfig.from_json(fh.read())
     else:
-        cfg = default_suite_config()
+        cfg = SuiteConfig()
     suite = run_suite(cfg)
     if args.format == "json":
         _emit_json(suite.json_pieces())
     else:
         for rep in suite.reports:
-            sys.stdout.write(
-                f"{rep.case} {json.dumps(rep.params, sort_keys=True, default=str)}: {rep.status}\n")
+            sys.stdout.write(f"{rep.case} {dumps(rep.params)}: {rep.status}\n")
         sys.stdout.write(f"overall: {suite.status}\n")
     return 0 if suite.status == PASS else 1
 
@@ -213,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_identity)
 
     p = vsub.add_parser("suite", help="run the full catalog over configured grids")
-    p.add_argument("--config", help="path to a suite config JSON (default: packaged grids)")
+    p.add_argument("--config", help="path to a suite config JSON (default: the SuiteConfig defaults)")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_verify_suite)
 

@@ -42,10 +42,10 @@ class CountingFunction:
 
     def __post_init__(self):
         if self.kind is Kind.P3:
-            object.__setattr__(self, "ell", None)
-        else:
-            if self.ell is None or self.ell < 1:
-                raise ValueError(f"{self.kind.value} needs a positive modulus parameter")
+            if self.ell is not None:
+                raise ValueError("p3 takes no modulus parameter")
+        elif self.ell is None or self.ell < 1:
+            raise ValueError(f"{self.kind.value} needs a positive modulus parameter")
 
     def label(self) -> str:
         return self.kind.value if self.ell is None else f"{self.kind.value}({self.ell})"

@@ -17,8 +17,8 @@ Index conventions for case parameters:
 * ``p``/``k``         auxiliary prime and its odd-power index
 
 A negative alpha, beta, k or m (k and m also index the open statements)
-is a ValueError, and so is k = 0 in the open statements, whose towers
-start at k = 1 (``CongruenceCase.k_min``).  Every congruence record has
+is a ValueError, and so is k = 0 in the open statements (``conjecture``),
+whose towers start at k = 1.  Every congruence record has
 one shape (``CongruenceCase``), written as text in linear forms over a
 (alpha), b (beta), k and m such as "2a+2b+1" (``Form``).
 Each identity names the congruence it implies (``GfIdentity.implies``),
@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
 
-from .arith3 import is_prime, legendre, pi3
+from .arith3 import is_prime, pi3
 from .counts import CountingFunction, Kind, values_at
 from .eta import EtaQuotientSpec, eta_quotient
 from .modseries import STANDARD_EXPONENT
@@ -45,6 +45,9 @@ from .series import TruncatedSeries
 from .vectors import Family, family_vector
 
 _RESIDUE_CAP = STANDARD_EXPONENT  # valuations read off residues are exact below this
+# below these, a congruence index and an identity's deepest index are read exactly
+_EXACT_THRESHOLD = 50_000
+_IDENTITY_EXACT_CAP = 80_000
 
 
 # -- progressions and instances -----------------------------------------
@@ -163,6 +166,14 @@ def class_members(base: int, per_sign: int) -> list[int]:
 # -2 ell0 is ell0 mod 3 ell0.
 _SHIFT_SIGN = {Kind.REGULAR_TRIPLE: -1, Kind.TWO_COLOR_TRIPLE: 1, Kind.P3: 0}
 
+# prime class -> (m, r, what p must be): p prime and p % m == r.  -3 is a
+# nonresidue mod an odd prime p exactly when p = 2 mod 3, so when p = 5 mod 6.
+_PRIME_CLASSES = {
+    "3mod4": (4, 3, "a prime congruent to 3 mod 4"),
+    "nonresidue-3": (6, 5, "an odd prime with -3 a nonresidue mod p"),
+    "odd": (2, 1, "an odd prime"),
+}
+
 
 @dataclass(frozen=True)
 class CongruenceCase:
@@ -173,7 +184,8 @@ class CongruenceCase:
     being linear forms: ell is 3^x, a `ResidueClass`, or None for p3;
     A = 3^x p^y; 8B = c 3^x p^y + sigma*ell0 + 1 (`B_num`), with ell0 the
     3^x of ell or its class base and sigma from `_SHIFT_SIGN`; the
-    exponent is a linear form.
+    exponent is a linear form.  A tower whose A carries p^(2k+1) checks
+    only the indices with p not dividing n.
     """
 
     id: str
@@ -183,11 +195,9 @@ class CongruenceCase:
     B: Term                         # c 3^x p^y, 8B less its shift sigma*ell0 + 1
     exponent: Form
     param_names: tuple[str, ...]    # in the order alpha, beta, ell, p, k, m
-    prime_class: str | None = None  # "3mod4" | "nonresidue-3" | "odd"
-    filter_p: bool = False          # restrict to indices with p not dividing n
+    prime_class: str | None = None  # a key of _PRIME_CLASSES
     branch: bool = False            # triangular/non-triangular split
-    conjecture: bool = False
-    k_min: int = 0                  # the open statements' towers start at k = 1
+    conjecture: bool = False        # an open statement; its towers start at k = 1
 
     def B_num(self, params: dict) -> int:
         """8B.  A class's shift reads its base, not ell."""
@@ -209,18 +219,13 @@ class CongruenceCase:
             raise ValueError(f"{self.id}: {bad[0]}={params[bad[0]]!r} must be an integer")
         params = {k: params[k] for k in self.param_names}
         for name in ("alpha", "beta", "k", "m"):
-            least = self.k_min if name == "k" else 0
+            least = 1 if name == "k" and self.conjecture else 0
             if params.get(name, least) < least:
                 raise ValueError(f"{self.id}: {name}={params[name]} must be at least {least}")
         if self.prime_class is not None:
-            p = params["p"]
-            if self.prime_class == "3mod4" and (not is_prime(p) or p % 4 != 3):
-                raise ValueError(f"{self.id}: p={p} must be a prime congruent to 3 mod 4")
-            if self.prime_class == "nonresidue-3" and (not is_prime(p) or p == 2
-                                                       or legendre(-3, p) != -1):
-                raise ValueError(f"{self.id}: p={p} must be an odd prime with -3 a nonresidue mod p")
-            if self.prime_class == "odd" and (not is_prime(p) or p == 2):
-                raise ValueError(f"{self.id}: p={p} must be an odd prime")
+            p, (mod, rem, text) = params["p"], _PRIME_CLASSES[self.prime_class]
+            if not is_prime(p) or p % mod != rem:
+                raise ValueError(f"{self.id}: p={p} must be {text}")
         fn = CountingFunction(self.kind, None if self.ell is None else self.ell(params))
         prog = Progression(self.A(params), _exact_div(self.B_num(params), 8))
         return CaseInstance(self, fn, prog, self.exponent(params), params)
@@ -252,7 +257,7 @@ _CASES: list[CongruenceCase] = [
     _case("MR2", _T, "2a+1", "2a+2b+2", (14, "2a+2b+1"), "3a+2b+4"),
     _case("MR3", _T, "2a+1", "2a+2b+2", (22, "2a+2b+1"), "3a+2b+5"),
     _case("MR4", _T, "2a+1", ("2a+2b+2", "2k+1"), (2, "2a+2b+2", "2k+2"), "3a+2b+4",
-          prime_class="3mod4", filter_p=True),
+          prime_class="3mod4"),
     # single even power
     _case("MR5", _T, "2a+2", "2a+b+1", (8, "2a+b+1"), "3a+2b+2"),
     _case("MR6", _T, "2a+2", "2a+b+2", (16, "2a+b+1"), "3a+2b+3"),
@@ -262,7 +267,7 @@ _CASES: list[CongruenceCase] = [
     _case("MR9", _T, _ODD_CLASS, "2a+2b+2", (19, "2a+2b+1"), "3a+b+5"),
     _case("MR10", _T, _ODD_CLASS, "2a+2b+2", (1, "2a+2b+2"), "3a+b+4", branch=True),
     _case("MR11", _T, _ODD_CLASS, ("2a+2b+2", "2k+1"), (1, "2a+2b+2", "2k+2"), "3a+b+4",
-          prime_class="odd", filter_p=True),
+          prime_class="odd"),
     # even residue class
     _case("MR12", _T, _EVEN_CLASS, "2a+2b+2", (5, "2a+2b+2"), "3a+3b+4"),
     _case("MR13", _T, _EVEN_CLASS, "2a+2b+3", (13, "2a+2b+2"), "3a+3b+5"),
@@ -270,14 +275,14 @@ _CASES: list[CongruenceCase] = [
     # two-product, single odd power
     _case("MR15", _TWO, "2a+1", "2a+b+1", (4, "2a+b+1"), "3a+b+2"),
     _case("MR16", _TWO, "2a+1", ("2a+b+1", "2k+1"), (4, "2a+b+1", "2k+2"), "3a+b+4",
-          prime_class="nonresidue-3", filter_p=True),
+          prime_class="nonresidue-3"),
     # two-product, single even power
     _case("MR17", _TWO, "2a+2", "2a+2b+1", (2, "2a+2b+1"), "3a+2b+2"),
     _case("MR171", _TWO, "2a+2", "2a+2b+2", (10, "2a+2b+1"), "3a+2b+3"),
     _case("MR18", _TWO, "2a+2", "2a+2b+3", (14, "2a+2b+2"), "3a+2b+6"),
     _case("MR19", _TWO, "2a+2", "2a+2b+3", (22, "2a+2b+2"), "3a+2b+7"),
     _case("MR20", _TWO, "2a+2", ("2a+2b+1", "2k+1"), (2, "2a+2b+1", "2k+2"), "3a+2b+4",
-          prime_class="3mod4", filter_p=True),
+          prime_class="3mod4"),
     # two-product, odd residue class
     _case("MR21", _TWO, _ODD_CLASS, "2a+2b+1", (7, "2a+2b+1"), "3a+3b+2"),
     _case("MR22", _TWO, _ODD_CLASS, "2a+2b+2", (23, "2a+2b+1"), "3a+3b+4"),
@@ -293,8 +298,8 @@ _CASES: list[CongruenceCase] = [
     _case("T2", _TWO, "2", "2b+1", (2, "2b+1"), "2b+2"),
     _case("T3", _TWO, "2", "2b+2", (2, "2b+3"), "2b+4"),
     # open statements, probed but never gating
-    _case("BC1", _T, "2k", "m+2k-1", (8, "m+2k-1"), "3k+2m-1", conjecture=True, k_min=1),
-    _case("BC2", _T, "2k-1", "2m+2k-1", (2, "2m+2k"), "3k+2m-1", conjecture=True, k_min=1),
+    _case("BC1", _T, "2k", "m+2k-1", (8, "m+2k-1"), "3k+2m-1", conjecture=True),
+    _case("BC2", _T, "2k-1", "2m+2k-1", (2, "2m+2k"), "3k+2m-1", conjecture=True),
 ]
 
 _CASE_BY_ID = {c.id: c for c in _CASES}
@@ -420,7 +425,7 @@ def _extras(fn: CountingFunction, prog: Progression, **more) -> dict:
 
 
 def verify_congruence(case_id: str, params: dict, n_max: int,
-                      exact_threshold: int = 50_000) -> Report:
+                      exact_threshold: int = _EXACT_THRESHOLD) -> Report:
     """Check one congruence family instance for all admissible n <= n_max.
 
     The stated modulus is a hypothesis: failures are collected, and the
@@ -436,12 +441,13 @@ def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Rep
     """The congruence check of `verify_congruence`, on a resolved instance."""
     record = inst.record
     # a branch case fits its constant at n = 0, and a prime filter (p not
-    # dividing n) drops n = 0, so there n = 0 alone checks nothing
-    least = 1 if record.branch or record.filter_p else 0
+    # dividing n, where A carries p) drops n = 0, so there n = 0 alone checks nothing
+    filter_p = record.A.y is not None
+    least = 1 if record.branch or filter_p else 0
     if n_max < least:
         raise ValueError(f"{record.id}: n_max={n_max} must be at least {least}")
     exact = inst.progression.index(n_max) < exact_threshold
-    ns = [n for n in range(n_max + 1) if not record.filter_p or n % inst.params["p"]]
+    ns = [n for n in range(n_max + 1) if not filter_p or n % inst.params["p"]]
     values = values_at(inst.fn, map(inst.progression.index, ns), exact)
     rep = Report(case=record.id, params=dict(inst.params) | {"n_max": n_max}, checked=len(ns))
     if record.branch:
@@ -538,7 +544,7 @@ def _rhs_window(identity: GfIdentity, level: int, alpha: int, terms: int) -> tup
 
 
 def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
-                       mode: str = "auto", exact_order_cap: int = 80_000) -> Report:
+                       mode: str = "auto", exact_order_cap: int = _IDENTITY_EXACT_CAP) -> Report:
     """Compare a progression generating function with its vector expansion.
 
     Modes: "exact" demands coefficientwise equality; "mod" compares
@@ -616,7 +622,8 @@ _LEAST = {"alphas": 0, "betas": 0, "prime_alphas": 0, "prime_betas": 0, "prime_k
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Parameter grids for a full catalog run; ships as data/suite_default.json.
+    """Parameter grids for a full catalog run; the defaults are the grids
+    `verify suite` runs without --config.
 
     Construction checks every field, a ValueError naming a malformed one.
     Grids are lists or tuples (stored as tuples) of integers, those of
@@ -640,8 +647,8 @@ class SuiteConfig:
     prime_betas: tuple[int, ...] = (0,)
     class_reps_per_sign: int = 4
     identity_terms: int = 30
-    identity_exact_cap: int = 80_000
-    exact_threshold: int = 50_000
+    identity_exact_cap: int = _IDENTITY_EXACT_CAP
+    exact_threshold: int = _EXACT_THRESHOLD
     priors_betas: tuple[int, ...] = (0, 1, 2)
     priors_n_max: int = 200
     conjecture_ks: tuple[int, ...] = (1,)
@@ -702,9 +709,6 @@ class SuiteReport:
         failed = any("error" in r.extras for r in self.reports) or any(r.status == FAIL for r in gating)
         ran = any(r.status != SKIPPED for r in gating)
         return FAIL if failed else PASS if ran else SKIPPED
-
-    def by_case(self, case_id: str) -> list[Report]:
-        return [r for r in self.reports if r.case == case_id]
 
     def json_pieces(self) -> Iterator[str]:
         """The suite JSON and a newline, one report's text at a time.
@@ -796,5 +800,5 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
                                                   cfg.identity_exact_cap))
         except ValueError as exc:
             reports.append(_error_report(job, exc))
-    reports.sort(key=lambda r: (r.case, json.dumps(r.params, sort_keys=True, default=str)))
+    reports.sort(key=lambda r: (r.case, json.dumps(r.params, sort_keys=True)))
     return SuiteReport(reports=reports)

@@ -20,7 +20,7 @@ from q3series.counts import CountingFunction, Kind, count_values
 from q3series.eta import EtaQuotientSpec, eta_quotient, euler_terms, jacobi_cube_terms
 from q3series.series import TruncatedSeries
 from q3series.vectors import Family, family_vector, m_entry
-from q3series.verifier import class_members, run_suite, verify_gf_identity
+from q3series.verifier import SuiteConfig, class_members, run_suite, verify_gf_identity
 
 from oracles import (add, agrees_with, check_h_lemma, enumerate_count, extract_progression,
                      p_cap_series, pmij_bound, power, substitute_power)
@@ -36,15 +36,13 @@ def banner(num, ok, note=""):
 
 @pytest.fixture(scope="module")
 def default_suite():
-    from q3series.cli import default_suite_config
-
     t0 = time.monotonic()
-    suite = run_suite(default_suite_config())
+    suite = run_suite(SuiteConfig())
     elapsed = time.monotonic() - t0
     return suite, elapsed
 
 
-# sha256 of `q3series verify suite --format json` on the packaged default grids
+# sha256 of `q3series verify suite --format json` on the default grids, `SuiteConfig()`
 DEFAULT_SUITE_SHA256 = "cb225afa8e62d8e15ca147b11e389e54cc661bfd8ca93a28ece81dd532157f6a"
 
 
@@ -174,24 +172,24 @@ def test_criterion_07_generating_function_identities(default_suite):
     problems = []
     # the single-power families are exact identities on the whole grid
     for case in ("H1", "H2", "T11", "D6", "T12", "T21", "T22", "T23"):
-        for r in suite.by_case(case):
+        for r in [r for r in suite.reports if r.case == case]:
             if r.status != "PASS" or r.extras.get("exact_equal") is not True:
                 problems.append((case, r.params))
     # residue-class families: reduced-modulus outcomes must match the
     # frozen table, and each report must record its exact/mod verdicts
     for (case, a, b), marker in IDENTITY_MOD_PASS.items():
         expected = _expected_set(marker, case, a)
-        got = {r.params["ell"] for r in suite.by_case(case)
-               if r.params["alpha"] == a and r.params["beta"] == b and r.status == "PASS"}
+        got = {r.params["ell"] for r in suite.reports
+               if r.case == case and r.params["alpha"] == a and r.params["beta"] == b and r.status == "PASS"}
         if got != expected:
             problems.append((case, a, b, "pass-set", sorted(got), sorted(expected)))
     for case in ("T24", "T25", "T31", "T311", "T32", "T321"):
-        for r in suite.by_case(case):
+        for r in [r for r in suite.reports if r.case == case]:
             if r.extras.get("exact_checked") is not True or r.extras.get("exact_equal") is not False:
                 problems.append((case, r.params, "exactness record"))
         for a in (0, 1):
-            passing_at_base = [r for r in suite.by_case(case)
-                               if r.params["alpha"] == a and r.params["beta"] == 0
+            passing_at_base = [r for r in suite.reports
+                               if r.case == case and r.params["alpha"] == a and r.params["beta"] == 0
                                and r.status == "PASS"]
             if len(passing_at_base) < 4:
                 problems.append((case, a, "fewer than four reduced-mode representatives"))
@@ -206,7 +204,7 @@ def test_criterion_08_congruence_families(default_suite):
     suite, elapsed = default_suite
     problems = []
     for case in ALWAYS_PASS_CASES:
-        reports = suite.by_case(case)
+        reports = [r for r in suite.reports if r.case == case]
         if not reports:
             problems.append((case, "missing"))
         for r in reports:
@@ -215,8 +213,8 @@ def test_criterion_08_congruence_families(default_suite):
     documented = 0
     for (case, a, b), marker in CONGRUENCE_CLASS_PASS.items():
         expected = _expected_set(marker, case, a)
-        rows = [r for r in suite.by_case(case)
-                if r.params["alpha"] == a and r.params["beta"] == b]
+        rows = [r for r in suite.reports
+                if r.case == case and r.params["alpha"] == a and r.params["beta"] == b]
         got = {r.params["ell"] for r in rows if r.status == "PASS"}
         if got != expected:
             problems.append((case, a, b, "pass-set", sorted(got), sorted(expected)))
@@ -231,7 +229,7 @@ def test_criterion_08_congruence_families(default_suite):
                     problems.append((case, r.params, "incomplete counterexample"))
                 elif holds >= r.extras["modulus_exponent"]:
                     problems.append((case, r.params, "inconsistent largest exponent"))
-    mr11 = suite.by_case("MR11")
+    mr11 = [r for r in suite.reports if r.case == "MR11"]
     if not mr11 or any(r.status != "FAIL" or not r.failures for r in mr11):
         problems.append(("MR11", "expected documented counterexamples everywhere"))
     documented += sum(1 for r in mr11 if r.status == "FAIL")
@@ -244,7 +242,7 @@ def test_criterion_09_published_families_regression(default_suite):
     suite, _ = default_suite
     problems = []
     for case in ("G1", "B1", "B2", "B3", "B4", "T1", "T2", "T3"):
-        rows = suite.by_case(case)
+        rows = [r for r in suite.reports if r.case == case]
         betas = {r.params["beta"] for r in rows}
         if betas != {0, 1, 2} or any(r.status != "PASS" for r in rows):
             problems.append((case, sorted(betas), [r.status for r in rows]))

@@ -1,9 +1,9 @@
-"""Valuations, primality and the Legendre symbol."""
+"""Valuations and primality."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from q3series.arith3 import is_prime, legendre, pi3
+from q3series.arith3 import is_prime, pi3
 
 
 class TestPi3:
@@ -47,25 +47,6 @@ class TestPi3Differential:
     def test_matches_plain_loop(self, n, k):
         for m in (n, -n, n * 3**k):
             assert pi3(m) == _pi3_plain(m)
-
-
-class TestLegendre:
-    def test_minus_three(self):
-        assert legendre(-3, 5) == -1  # squares mod 5 are 1, 4
-        assert legendre(-3, 7) == 1   # -3 is 4 = 2^2 mod 7
-        assert legendre(10, 5) == 0
-
-    def test_rejects_non_prime(self):
-        with pytest.raises(ValueError):
-            legendre(2, 9)
-        with pytest.raises(ValueError):
-            legendre(2, 2)
-
-    @settings(max_examples=100)
-    @given(st.integers(-50, 50), st.integers(-50, 50),
-           st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]))
-    def test_multiplicative(self, a, b, p):
-        assert legendre(a * b, p) == legendre(a, p) * legendre(b, p)
 
 
 def test_is_prime_small():

@@ -15,9 +15,11 @@ from pathlib import Path
 import pytest
 
 import q3series
+from q3series import cli
 from q3series.cli import main
 from q3series.counts import CountingFunction, Kind
 from q3series.series import TruncatedSeries
+from q3series.verifier import SuiteConfig, SuiteReport
 
 import oracles
 from oracles import enumerate_count
@@ -95,7 +97,7 @@ class TestCount:
     def test_p3_ell_exits_2(self, capsys):
         # p3 has no modulus: a stray --ell would be dropped and p3 printed
         assert run_cli(capsys, "count", "--kind", "p3", "--ell", "5", "--nmax", "3") == \
-            (2, "", "error: p3 takes no --ell\n")
+            (2, "", "error: p3 takes no modulus parameter\n")
 
 
 class TestMTable:
@@ -247,10 +249,30 @@ class TestVerify:
                                "--alpha", "0", "--beta", "0", "--ell", "4")
         assert code == 2 and "error" in err
 
-    def test_suite_with_config(self, tmp_path, capsys):
-        from q3series.cli import default_suite_config
+    def test_suite_without_config_runs_the_defaults(self, monkeypatch, capsys):
+        # no --config: run_suite gets exactly SuiteConfig(), no copy of its grids
+        seen = []
+        monkeypatch.setattr(cli, "run_suite", lambda cfg: seen.append(cfg) or SuiteReport())
+        assert run_cli(capsys, "verify", "suite", "--format", "text") == (1, "overall: SKIPPED\n", "")
+        assert seen == [SuiteConfig()]
 
-        cfg = replace(default_suite_config(), include=("MR1", "G1"), n_max=30, n_max_small=30,
+    def test_suite_text_lines_match_single_checks(self, tmp_path, capsys):
+        # each suite line is the first line `verify congruence --format text` prints
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"include": ["MR1", "MR7"], "alphas": [0], "betas": [0],
+                                    "class_reps_per_sign": 1, "n_max": 20, "n_max_small": 20}))
+        code, out, _ = run_cli(capsys, "verify", "suite", "--config", str(path), "--format", "text")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 4 and lines[-1] == "overall: PASS"
+        for line, ell in zip(lines, (None, 3, 6)):
+            case = line.split()[0]
+            argv = ["--case", case, "--alpha", "0", "--beta", "0", "--nmax", "20"]
+            argv += ["--ell", str(ell)] if ell else []
+            _, single, _ = run_cli(capsys, "verify", "congruence", *argv, "--format", "text")
+            assert single.splitlines()[0] == line
+
+    def test_suite_with_config(self, tmp_path, capsys):
+        cfg = replace(SuiteConfig(), include=("MR1", "G1"), n_max=30, n_max_small=30,
                       priors_n_max=30)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(asdict(cfg)))
@@ -358,9 +380,7 @@ class TestReportSchema:
         assert data["holds_to_exponent"] < data["modulus_exponent"]
 
     def test_suite_reports_all_validate(self, tmp_path, capsys):
-        from q3series.cli import default_suite_config
-
-        cfg = replace(default_suite_config(), include=("MR1", "MR8", "BC1", "T31"), n_max=30,
+        cfg = replace(SuiteConfig(), include=("MR1", "MR8", "BC1", "T31"), n_max=30,
                       n_max_small=30, conjecture_n_max=30, identity_terms=10,
                       class_reps_per_sign=1)
         path = tmp_path / "cfg.json"

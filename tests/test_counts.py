@@ -56,6 +56,9 @@ class TestSeriesRoute:
             CountingFunction(Kind.REGULAR_TRIPLE)
         with pytest.raises(ValueError):
             CountingFunction(Kind.TWO_COLOR_TRIPLE, 0)
+        # p3 has no modulus: one given is refused, not dropped
+        with pytest.raises(ValueError, match="^p3 takes no modulus parameter$"):
+            CountingFunction(Kind.P3, 5)
 
 
 class TestEnumerationOracle:
@@ -134,8 +137,9 @@ class TestPointValues:
     @example(kind=Kind.REGULAR_TRIPLE, ell=1, order=1, picks=[])
     @example(kind=Kind.TWO_COLOR_TRIPLE, ell=1, order=800, picks=[799, 0, 799])
     def test_matches_full_expansion(self, kind, ell, order, picks):
-        # 0, every index below l, order - 1 and random ones, unsorted, repeats kept
-        fn = CountingFunction(kind, ell)
+        # 0, every index below l, order - 1 and random ones, unsorted, repeats kept;
+        # p3 takes no l, and its draw of l only picks the indices
+        fn = CountingFunction(kind, None if kind is Kind.P3 else ell)
         indices = [order - 1, *range(min(ell, order)), *(p % order for p in picks)]
         exact = count_values(fn, order)
         reduced = count_values_mod(fn, order)

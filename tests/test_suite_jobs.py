@@ -11,7 +11,6 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from q3series.cli import default_suite_config
 from q3series.report import SKIPPED
 from q3series.verifier import (_CASE_BY_ID, SuiteConfig, _pow3, _suite_jobs, catalog,
                                class_members, run_suite)
@@ -114,12 +113,12 @@ def test_perfbench_digest(name):
 
 @pytest.mark.parametrize("name", ["default"] + sorted(SHAPED))
 def test_derived_jobs_match_reference(name):
-    cfg = default_suite_config() if name == "default" else SHAPED[name][0]
+    cfg = SuiteConfig() if name == "default" else SHAPED[name][0]
     assert _suite_jobs(cfg) == reference_jobs(cfg)
 
 
 def test_every_record_runs_on_the_default_grids():
-    ids = {jid for _, jid, _, _ in _suite_jobs(default_suite_config())}
+    ids = {jid for _, jid, _, _ in _suite_jobs(SuiteConfig())}
     assert ids == set(CASE_IDS) | set(IDENTITY_IDS)
 
 
@@ -148,7 +147,8 @@ def test_rejected_parameters_become_error_reports():
                                 '"n_max": 10, "n_max_small": 10}')
     suite = run_suite(cfg)
     for cid in ("BC1", "BC2"):
-        reps = suite.by_case(cid)
+        reps = [r for r in suite.reports if r.case == cid]
         assert len(reps) == 2 and all(r.status == SKIPPED for r in reps)
         assert {r.extras["error"] for r in reps} == {f"{cid}: k=0 must be at least 1"}
-    assert len(suite.by_case("MR1")) == 4 and all("error" not in r.extras for r in suite.by_case("MR1"))
+    mr1 = [r for r in suite.reports if r.case == "MR1"]
+    assert len(mr1) == 4 and all("error" not in r.extras for r in mr1)

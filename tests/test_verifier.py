@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -91,6 +92,38 @@ class TestInstantiate:
         with pytest.raises(ValueError):
             instantiate("MR16", {"alpha": 0, "beta": 0, "p": 7, "k": 0})
         instantiate("MR16", {"alpha": 0, "beta": 0, "p": 5, "k": 0})
+
+    @pytest.mark.parametrize("case_id", ["MR4", "MR11", "MR16", "MR20", "B4"])
+    def test_prime_class_rows_match_the_paper_predicates(self, case_id):
+        # the residue rows against each class as the paper states it: (-3/p) = -1
+        # by Euler's criterion, primality by a sieve, every p below 20,000
+        limit = 20_000
+        sieve = [False, False] + [True] * (limit - 2)
+        for d in range(2, int(limit**0.5) + 1):
+            if sieve[d]:
+                sieve[d * d::d] = [False] * len(range(d * d, limit, d))
+
+        def nonresidue(p):
+            return pow(-3, (p - 1) // 2, p) == p - 1
+
+        old = {"3mod4": (lambda p: p % 4 == 3, "a prime congruent to 3 mod 4"),
+               "odd": (lambda p: p != 2, "an odd prime"),
+               "nonresidue-3": (lambda p: p != 2 and nonresidue(p),
+                                "an odd prime with -3 a nonresidue mod p")}
+        case = verifier._CASE_BY_ID[case_id]
+        admits, text = old[case.prime_class]
+        # depths 0, and for MR11 ell = 3, the base of its class at alpha = 0
+        base = {name: 3 if name == "ell" else 0 for name in case.param_names if name != "p"}
+        accepted = 0
+        for p in range(limit):
+            if sieve[p] and admits(p):
+                assert case.instantiate(base | {"p": p}).params["p"] == p
+                accepted += 1
+            else:
+                with pytest.raises(ValueError) as err:
+                    case.instantiate(base | {"p": p})
+                assert str(err.value) == f"{case_id}: p={p} must be {text}"
+        assert accepted > 1000
 
     def test_non_integral_shift_is_hard_error(self):
         with pytest.raises(ValueError):
@@ -294,7 +327,8 @@ def _catalog_rows() -> list:
                 rows.append([rid, P, "error"])
                 continue
             rows.append([rid, P, inst.fn.label(), inst.progression.A, inst.progression.B,
-                         inst.exponent, inst.record.filter_p, inst.record.branch, inst.record.conjecture])
+                         inst.exponent, inst.record.A.y is not None, inst.record.branch,
+                         inst.record.conjecture])
     return rows
 
 
@@ -357,12 +391,13 @@ class TestRecords:
         # follows the parity of x alone, and p^y mod 8 follows p mod 8 and the
         # parity of y.  So B_num mod 8 depends only on the parities of alpha,
         # beta, k and m and on p mod 8, and one point per pattern, at the
-        # least values from k_min, stands for every parameter.
+        # least values (k from 1 in the open statements), stands for every parameter.
         checked = 0
         for case in _records():
             depths = [n for n in case.param_names if n in ("alpha", "beta", "k", "m")]
             for parities in itertools.product((0, 1), repeat=len(depths)):
-                P = {n: (case.k_min if n == "k" else 0) + bit for n, bit in zip(depths, parities)}
+                P = {n: (1 if n == "k" and case.conjecture else 0) + bit
+                     for n, bit in zip(depths, parities)}
                 for p in P_MOD_8[case.prime_class] if "p" in case.param_names else (None,):
                     assert case.B_num(P | {"p": p}) % 8 == 0, (case.id, P, p)
                     checked += 1
@@ -647,7 +682,8 @@ class TestIdentities:
                 assert verdict == {"odd_base_seed": True, "even_base_seed": False}
 
     @staticmethod
-    def _implied(iid: str, params: dict, n_max: int, exact_threshold: int = 50_000) -> Report:
+    def _implied(iid: str, params: dict, n_max: int,
+                 exact_threshold: int = verifier._EXACT_THRESHOLD) -> Report:
         """The congruence check on what the identity implies, every coefficient
         divisible by 3^lemma_exponent."""
         return verifier._check_instance(verifier._identity_instance(iid, params)[1], n_max,
@@ -909,6 +945,14 @@ class TestSuite:
             dataclasses.replace(cfg, alphas=(-1,))
         assert dataclasses.replace(cfg, alphas=[2]).alphas == (2,)
 
+    def test_engine_defaults_are_the_suite_defaults(self):
+        # a single check and the suite read their engine thresholds from one place
+        cfg = SuiteConfig()
+        defaults = {name: param.default for fn in (verify_congruence, verify_gf_identity)
+                    for name, param in inspect.signature(fn).parameters.items()}
+        assert defaults["exact_threshold"] == cfg.exact_threshold == verifier._EXACT_THRESHOLD
+        assert defaults["exact_order_cap"] == cfg.identity_exact_cap == verifier._IDENTITY_EXACT_CAP
+
     def test_config_lists_stored_as_tuples(self):
         cfg = SuiteConfig(alphas=[0, 2], include=["MR1"])
         assert cfg == SuiteConfig(alphas=(0, 2), include=("MR1",))
@@ -921,7 +965,7 @@ class TestSuite:
         suite = run_suite(cfg)
         errors = [r for r in suite.reports if "error" in r.extras]
         assert errors and all(r.status == SKIPPED for r in errors)
-        assert all(r.status == PASS for r in suite.by_case("MR1"))
+        assert all(r.status == PASS for r in suite.reports if r.case == "MR1")
         assert suite.status == FAIL
 
     def test_nonresidue_error_report_names_case(self):
