@@ -812,6 +812,27 @@ class TestWeightedQuotientWindow:
                 got = verifier._weighted_quotient_window(vec, num, den, terms)
                 assert got == _running_product_window(weights, num, den, terms), (num, den)
 
+    @pytest.mark.parametrize("config, count, digest", [
+        ("identity-windows", 28, "6387d33cd94bdc5c32c0c3cab8b150c09a8a63808637912caaebf5af96dcb7e7"),
+        ("default", 52, "ad6c4039decbb47eacc2971a91f8a93c45e3c1e09acea2394a677a898c3c94f9"),
+    ])
+    def test_suite_windows_digest(self, config, count, digest):
+        # every distinct window of the benchmark's identity grid (100 terms)
+        # and of the default grids (30 terms), pinned before the window
+        # construction was rebuilt
+        cfg = (SuiteConfig.from_json(IDENTITY_WINDOWS.read_text()) if config == "identity-windows"
+               else SuiteConfig())
+        keys = set()
+        for kind, iid, params, _ in verifier._suite_jobs(cfg):
+            if kind == "identity":
+                identity, inst = verifier._identity_instance(iid, params)
+                keys.add((iid, identity.level(inst.params), params["alpha"], cfg.identity_terms))
+        h = hashlib.sha256()
+        for iid, level, alpha, terms in sorted(keys):
+            window = verifier._rhs_window(verifier._IDENTITY_BY_ID[iid], level, alpha, terms)
+            h.update(f"{iid} {level} {alpha} {terms}: {','.join(map(str, window))}\n".encode())
+        assert (len(keys), h.hexdigest()) == (count, digest)
+
     def test_short_chain_then_long(self, monkeypatch):
         short_first = {}
         monkeypatch.setattr(verifier, "_ratio_powers", short_first)
