@@ -19,6 +19,7 @@ with the series route.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -134,9 +135,10 @@ def values_at(fn: CountingFunction, indices, exact: bool) -> list[int]:
         rows = {r: solve_monic_sparse(jacobi_cube_terms(1, j), base[r:r + ell * j:ell], j)
                 for r, j in depth.items()}
         return [rows[i % ell][i // ell] for i in indices]
-    if exact:
+    if exact:  # the gaps ascend, so the terms with g <= i are a prefix
         terms = jacobi_cube_terms(fn.ell, order)
-        return [sum(c * base[i - g] for g, c in terms if g <= i) for i in indices]
+        gaps = [g for g, _ in terms]
+        return [sum(c * base[i - g] for g, c in terms[:bisect_right(gaps, i)]) for i in indices]
     if (_MOD - 1) ** 2 + order * _MOD >= 2**63:
         raise OverflowError(f"residue products overflow int64 at order {order}, modulus {_MOD}")
     if fn.kind is Kind.TWO_COLOR_TRIPLE:

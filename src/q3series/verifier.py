@@ -38,10 +38,10 @@ from typing import Iterator
 
 from .arith3 import is_prime, pi3
 from .counts import CountingFunction, Kind, values_at
-from .eta import EtaQuotientSpec, eta_quotient
+from .eta import apply_factors
 from .modseries import STANDARD_EXPONENT
 from .report import FAIL, PASS, SKIPPED, Report, dumps
-from .series import TruncatedSeries
+from .series import mul_sparse
 from .vectors import Family, family_vector
 
 _RESIDUE_CAP = STANDARD_EXPONENT  # valuations read off residues are exact below this
@@ -495,41 +495,44 @@ def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], exac
     return _settle(rep, hit_cap, inst.exponent)
 
 
-_RATIO = EtaQuotientSpec(1, ((3, 12), (1, -12)))  # q E(q^3)^12 / E(q)^12
-# window length -> [ratio^0, ratio^1, ...], each exact below that length
-_ratio_powers: dict[int, list[TruncatedSeries]] = {}
+_F = ((3, 12), (1, -12))  # F = E(q^3)^12 / E(q)^12, the ratio of consecutive quotients over q
+# window length -> [F^0, F^1, ...]; F^j holds its terms - j + 1 leading coefficients
+_ratio_powers: dict[int, list[list[int]]] = {}
 
 
-def _powers_of_ratio(terms: int, top: int) -> list[TruncatedSeries]:
-    """ratio^0 .. ratio^top, exact below q^terms.
+def _powers_of_ratio(terms: int, top: int) -> list[list[int]]:
+    """F^0 .. F^top, F^j to its first terms - j + 1 coefficients.
 
-    One chain per window length grows on demand, one product per new
-    power; powers already built are reused.
+    The j-th term of a window, q^{j-1} F^j times the identity's quotient,
+    reads no more of F^j than that.  One chain per window length grows on
+    demand, each power past F^1 one `mul_sparse` truncated there; powers
+    already built are reused.
     """
-    chain = _ratio_powers.setdefault(terms, [TruncatedSeries.one(terms)])
+    chain = _ratio_powers.setdefault(terms, [[1] + [0] * terms])
     while len(chain) <= top:
-        chain.append(eta_quotient(_RATIO, terms) if len(chain) == 1 else chain[-1].mul(chain[1]))
+        j = len(chain)
+        chain.append(apply_factors(chain[0][:terms], _F, terms) if j == 1 else
+                     mul_sparse(chain[1], list(enumerate(chain[-1])), terms - j + 1))
     return chain[:top + 1]
 
 
 def _weighted_quotient_window(vec, num: int, den: int, terms: int) -> list[int]:
     """Coefficients 0..terms-1 of sum_j vec(j) * q^{j-1} E(q^3)^{12j+num} / E(q)^{12j+den}.
 
-    The sum is the j=1 quotient times sum_j vec(j) * ratio^{j-1}, with
-    ratio = q E(q^3)^12 / E(q)^12: one product with a weighted sum of the
-    shared ratio powers.  ratio^{j-1} starts at q^{j-1}, so the sum runs
-    over the weights inside the window and ends at the last nonzero one.
+    With F = E(q^3)^12 / E(q)^12 the sum is E(q^3)^num / E(q)^den times
+    S = sum_j vec(j) q^{j-1} F^j.  S sums the shared powers of F, which
+    end at the last nonzero weight inside the window; the quotient is then
+    |num| / 3 + |den| / 3 cube passes over S (0 to 6 in the catalog).
     """
-    quotient = eta_quotient(EtaQuotientSpec(0, ((3, 12 + num), (1, -(12 + den)))), terms)
     weights = list(vec.values[:terms])
     while weights and not weights[-1]:
         weights.pop()
     total = [0] * terms
-    for c, power in zip(weights, _powers_of_ratio(terms, len(weights) - 1)):
+    for j, (c, power) in enumerate(zip(weights, _powers_of_ratio(terms, len(weights))[1:]), start=1):
         if c:
-            for e, a in zip(range(power.offset, terms), power.coeffs):
+            for e, a in enumerate(power, start=j - 1):
                 total[e] += c * a
-    return list(quotient.mul(TruncatedSeries(0, total, terms)).coeffs)
+    return apply_factors(total, ((3, num), (1, -den)), terms)
 
 
 @functools.lru_cache(maxsize=None)

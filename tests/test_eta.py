@@ -100,11 +100,15 @@ class TestEtaQuotientAgainstPowers:
         self.check(EtaQuotientSpec.parse(text), 60)
 
     def test_identity_quotients_and_ratio(self):
+        # the factors a window applies: each identity's E(q^3)^num / E(q)^den,
+        # and F = E(q^3)^12 / E(q)^12, whose first power the window chain holds
         pairs = sorted({(i.num, i.den) for i in verifier._IDENTITIES})
         assert len(pairs) == 10
         for num, den in pairs:
-            self.check(EtaQuotientSpec(0, ((3, 12 + num), (1, -(12 + den)))), 100)
-        self.check(verifier._RATIO, 100)
+            self.check(EtaQuotientSpec(0, ((3, num), (1, -den))), 100)
+        f = EtaQuotientSpec(0, ((3, 12), (1, -12)))
+        self.check(f, 100)
+        assert verifier._powers_of_ratio(100, 1)[1] == list(eta_quotient(f, 100).coeffs)
 
 
 class TestGrammar:

@@ -24,6 +24,8 @@ from q3series.vectors import Family, family_vector, valuation_bound
 from q3series.verifier import (SuiteConfig, SuiteReport, _exact_div, catalog, class_members,
                                instantiate, run_suite, verify_congruence, verify_gf_identity)
 
+from oracles import power
+
 # json.loads of suite_json(run_suite(SuiteConfig(**TestSuite.CFG))) at the default thresholds
 # ("default") and with exact_threshold = identity_exact_cap = 200 ("reduced"),
 # where 39 congruence and 2 identity jobs read the reduced engine.  Regenerate
@@ -774,25 +776,32 @@ class TestWeightedQuotientWindow:
             got = verifier._weighted_quotient_window(vec, num, den, terms)
             assert got == _direct_window(weights, num, den, terms), name
 
-    @pytest.mark.parametrize("iid, level, top", [("H1", 1, 0), ("T321", 2, 8)])
-    def test_product_ends_at_last_weight(self, monkeypatch, iid, level, top):
-        # a fresh chain stops at ratio^(last - 1); each power past ratio^1
-        # is one product, and the window is one more
+    @pytest.mark.parametrize("iid, level, products", [("H1", 1, 0), ("T321", 2, 8)])
+    def test_product_ends_at_last_weight(self, monkeypatch, iid, level, products):
+        # a fresh chain stops at F^last, the power of the last nonzero weight;
+        # each power past F^1 is one mul_sparse, truncated to the terms - j + 1
+        # coefficients the window reads, and no dense product follows
         identity = verifier._IDENTITY_BY_ID[iid]
         vec = family_vector(identity.family, 0, level, 21)
         last = max(j for j, c in enumerate(vec.values[:20], start=1) if c)
-        calls = []
-        mul = TruncatedSeries.mul
+        orders = []
+        mul = verifier.mul_sparse
 
-        def counted(self, other):
-            calls.append(other)
-            return mul(self, other)
+        def counted(dense, terms, order):
+            orders.append(order)
+            return mul(dense, terms, order)
 
-        monkeypatch.setattr(TruncatedSeries, "mul", counted)
+        def dense_product(self, other):
+            raise AssertionError("the window took a dense product")
+
+        monkeypatch.setattr(verifier, "mul_sparse", counted)
+        monkeypatch.setattr(TruncatedSeries, "mul", dense_product)
         monkeypatch.setattr(verifier, "_ratio_powers", {})
         verifier._weighted_quotient_window(vec, identity.num, identity.den, 20)
-        assert len(verifier._ratio_powers[20]) - 1 == last - 1 == top
-        assert len(calls) == max(top - 1, 0) + 1
+        chain = verifier._ratio_powers[20]
+        assert len(chain) - 1 == last == products + 1
+        assert orders == [20 - j + 1 for j in range(2, last + 1)]
+        assert [len(power) for power in chain] == [20 - j + 1 for j in range(last + 1)]
 
     @pytest.mark.parametrize("terms", [30, 100])
     def test_matches_running_product(self, terms):
@@ -834,19 +843,20 @@ class TestWeightedQuotientWindow:
         assert (len(keys), h.hexdigest()) == (count, digest)
 
     def test_short_chain_then_long(self, monkeypatch):
+        # a chain grown in short steps equals one grown at once, and each F^j
+        # holds exactly its terms - j + 1 leading coefficients of the power
         short_first = {}
         monkeypatch.setattr(verifier, "_ratio_powers", short_first)
         verifier._powers_of_ratio(30, 3)
         verifier._powers_of_ratio(30, 1)
-        grown = verifier._powers_of_ratio(30, 29)
+        grown = verifier._powers_of_ratio(30, 30)
         monkeypatch.setattr(verifier, "_ratio_powers", {})
-        direct = verifier._powers_of_ratio(30, 29)
-        assert len(grown) == len(direct) == len(short_first[30]) == 30
-        for k, (a, b) in enumerate(zip(grown, direct)):
-            assert a.offset == b.offset == k
-            assert [a.coeff(e) for e in range(30)] == [b.coeff(e) for e in range(30)]
-        ratio = eta_quotient(EtaQuotientSpec(1, ((3, 12), (1, -12))), 30)
-        assert [grown[1].coeff(e) for e in range(30)] == [ratio.coeff(e) for e in range(30)]
+        direct = verifier._powers_of_ratio(30, 30)
+        assert grown == direct and len(short_first[30]) == 31
+        f = eta_quotient(EtaQuotientSpec(0, ((3, 12), (1, -12))), 30)
+        assert grown[0] == [1] + [0] * 30 and grown[1] == list(f.coeffs)
+        for j in range(2, 31):
+            assert grown[j] == list(power(f, j).coeffs[:30 - j + 1]), j
 
 
 @pytest.fixture
