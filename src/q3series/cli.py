@@ -2,7 +2,8 @@
 
 Output is deterministic: identical invocations produce byte-identical
 bytes on stdout.  JSON carries oversized integers as decimal strings.
-Exit codes: 2 on a usage, parameter or config error; else 1 when a check
+Exit codes: 2 on a usage, parameter or config error, or on a check too
+deep for the reduced engine's int64 guards; else 1 when a check
 that is not an open statement's failed, when a single check read SKIPPED
 (nothing decided it), or when a suite had a job refused or ran no such
 check (it reads FAIL or SKIPPED), and 0 otherwise.  A reader that closes
@@ -114,13 +115,10 @@ def _finish_report(rep, fmt) -> int:
     if fmt == "json":
         _emit_json(rep.to_dict())
     else:
-        d = rep.to_dict()
-        sys.stdout.write(f"{d['case']} {dumps(d['params'])}: {d['status']}\n")
-        for f in d["failures"][:10]:
+        sys.stdout.write(rep.line() + "\n")
+        for f in rep.to_dict()["failures"][:10]:
             sys.stdout.write(f"  counterexample {dumps(f)}\n")
-    if rep.status == SKIPPED or (rep.status == FAIL and not rep.extras.get("conjecture")):
-        return 1
-    return 0
+    return 1 if rep.status == SKIPPED or (rep.status == FAIL and rep.gates) else 0
 
 
 def _cmd_verify_congruence(args) -> int:
@@ -144,7 +142,7 @@ def _cmd_verify_suite(args) -> int:
         _emit_json(suite.json_pieces())
     else:
         for rep in suite.reports:
-            sys.stdout.write(f"{rep.case} {dumps(rep.params)}: {rep.status}\n")
+            sys.stdout.write(rep.line() + "\n")
         sys.stdout.write(f"overall: {suite.status}\n")
     return 0 if suite.status == PASS else 1
 
@@ -221,8 +219,9 @@ def main(argv: list[str] | None = None) -> int:
         # the interpreter flushes stdout once more on exit: let it reach devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, KeyError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
+        # a KeyError's text is its message in quotes
+        sys.stderr.write(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}\n")
         return 2
 
 

@@ -10,14 +10,15 @@ sparse term onto a residue, so mod + nterms * (mod-1)^2 < 2^63; at E = 15
 that sustains ~44000 sparse terms.  The blocked solve also convolves a
 block of L residues with L residues of an inverse, so L * (mod-1)^2 < 2^63;
 at E = 15 that allows L up to ~44700.  Both are checked, and a failure
-raises OverflowError: callers must then lower E or fall back to exact
-arithmetic.  Neither triggers at this package's scales.  The blocked
-solve keeps its accumulator in the unsolved tail of the array it
-returns, starting from the right-hand side reduced to residues.  Each
-slice update reads positions before the current block and writes
-positions from the block's start on, so no update reads what it writes,
-and the accumulated values, hence the bound, are those of a separate
-accumulator.
+raises OverflowError, which the command line reports as a refused request
+(exit 2) and a suite as an error report.  At E = 15 a base of 1/E(q)^3
+past about 1.0e9 coefficients (MR1 at alpha = beta = 4) trips the first;
+the default grids stay far below.  The blocked solve keeps its
+accumulator in the unsolved tail of the array it returns, starting from
+the right-hand side reduced to residues.  Each slice update reads
+positions before the current block and writes positions from the block's
+start on, so no update reads what it writes, and the accumulated values,
+hence the bound, are those of a separate accumulator.
 
 `extend_monic_sparse_mod` solves only the positions past a known prefix,
 like `series.extend_monic_sparse`.  `_solve_py` is the sequential

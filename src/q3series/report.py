@@ -53,6 +53,15 @@ class Report:
             return SKIPPED
         return FAIL if self.failures else PASS
 
+    @property
+    def gates(self) -> bool:
+        """Whether a FAIL counts: not for an open statement's probe (extras "conjecture")."""
+        return not self.extras.get("conjecture")
+
+    def line(self) -> str:
+        """The text form: `case params: status`, the params as `to_dict` writes them."""
+        return f"{self.case} {dumps(_jsonable(self.params))}: {self.status}"
+
     def to_dict(self) -> dict[str, Any]:
         out = {
             "case": self.case,

@@ -437,9 +437,22 @@ def verify_congruence(case_id: str, params: dict, n_max: int,
     return _check_instance(instantiate(case_id, params), n_max, exact_threshold)
 
 
+def _is_triangular(n: int) -> bool:
+    """Whether n = k(k+1)/2 for some k >= 0, that is, 8n+1 is a perfect square."""
+    return math.isqrt(8 * n + 1) ** 2 == 8 * n + 1
+
+
 def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Report:
-    """The congruence check of `verify_congruence`, on a resolved instance."""
-    record = inst.record
+    """The congruence check of `verify_congruence`, on a resolved instance.
+
+    A plain record's deviations are its values.  A two-branch record
+    (`branch`) fits one constant c at n = 0; on triangular n its value must
+    then follow c * (-1)^n (2n+1), elsewhere vanish, all read modulo
+    3^exponent.  Its report names the fitted constant, whether the bare
+    branch (c = 1) also holds, and the largest exponent at which the
+    branch structure survives.
+    """
+    record, e = inst.record, inst.exponent
     # a branch case fits its constant at n = 0, and a prime filter (p not
     # dividing n, where A carries p) drops n = 0, so there n = 0 alone checks nothing
     filter_p = record.A.y is not None
@@ -449,50 +462,25 @@ def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Rep
     exact = inst.progression.index(n_max) < exact_threshold
     ns = [n for n in range(n_max + 1) if not filter_p or n % inst.params["p"]]
     values = values_at(inst.fn, map(inst.progression.index, ns), exact)
-    rep = Report(case=record.id, params=dict(inst.params) | {"n_max": n_max}, checked=len(ns))
+    deviations, holds_key, branch = values, "holds_to_exponent", {}
+    shown = lambda i: {"value": str(values[i])}  # what a failure at the i-th index shows
     if record.branch:
-        return _verify_branch_case(inst, rep, values, exact)
-    valuations, holds, hit_cap = _scan(values, not exact)
-    rep.failures = [{"n": n, "value": str(v), "valuation": val, "required": inst.exponent}
-                    for n, v, val in zip(ns, values, valuations)
-                    if val is not None and val < inst.exponent]
-    rep.extras = _extras(inst.fn, inst.progression, modulus_exponent=inst.exponent,
-                         engine="exact" if exact else _REDUCED_ENGINE,
-                         holds_to_exponent=holds, exponent_capped=hit_cap)
+        mod, const = 3**e, values[0]
+        wants = [const * (2 * n + 1) * (-1) ** n if _is_triangular(n) else 0 for n in ns]
+        deviations = [v - w for v, w in zip(values, wants)]
+        shown = lambda i: {"value": str(values[i] % mod), "expected": str(wants[i] % mod)}
+        holds_key = "branch_holds_to_exponent"
+        branch = {"fitted_constant": str(const % mod), "plain_branch_holds": const % mod == 1}
+    valuations, holds, hit_cap = _scan(deviations, not exact)
+    failures = [{"n": n, **shown(i), "valuation": val, "required": e}
+                for i, (n, val) in enumerate(zip(ns, valuations)) if val is not None and val < e]
+    extras = _extras(inst.fn, inst.progression, modulus_exponent=e,
+                     engine="exact" if exact else _REDUCED_ENGINE, **branch,
+                     **{holds_key: holds}, exponent_capped=hit_cap)
     if record.conjecture:
-        rep.extras["conjecture"] = True
-    return _settle(rep, hit_cap, inst.exponent)
-
-
-def _is_triangular(n: int) -> bool:
-    """Whether n = k(k+1)/2 for some k >= 0, that is, 8n+1 is a perfect square."""
-    return math.isqrt(8 * n + 1) ** 2 == 8 * n + 1
-
-
-def _verify_branch_case(inst: CaseInstance, rep: Report, values: list[int], exact: bool) -> Report:
-    """Two-branch check of values at n = 0, 1, ...: on triangular n the
-    coefficient must follow c * (-1)^n (2n+1) for one constant c fitted
-    at n = 0, elsewhere vanish.
-
-    Everything is read modulo 3^exponent.  The fitted constant and
-    whether the bare (-1)^n (2n+1) branch (c = 1) also holds are
-    reported, as is the largest exponent at which the branch structure
-    survives.
-    """
-    mod = 3**inst.exponent
-    const = values[0]
-    wants = [const * (2 * n + 1) * (-1 if n % 2 else 1) if _is_triangular(n) else 0
-             for n in range(len(values))]
-    valuations, holds, hit_cap = _scan([v - w for v, w in zip(values, wants)], not exact)
-    rep.failures = [{"n": n, "value": str(v % mod), "expected": str(w % mod),
-                     "valuation": val, "required": inst.exponent}
-                    for n, (v, w, val) in enumerate(zip(values, wants, valuations))
-                    if val is not None and val < inst.exponent]
-    rep.extras = _extras(inst.fn, inst.progression, modulus_exponent=inst.exponent,
-                         engine="exact" if exact else _REDUCED_ENGINE,
-                         fitted_constant=str(const % mod), plain_branch_holds=const % mod == 1,
-                         branch_holds_to_exponent=holds, exponent_capped=hit_cap)
-    return _settle(rep, hit_cap, inst.exponent)
+        extras["conjecture"] = True
+    rep = Report(record.id, dict(inst.params) | {"n_max": n_max}, len(ns), failures, extras)
+    return _settle(rep, hit_cap, e)
 
 
 _F = ((3, 12), (1, -12))  # F = E(q^3)^12 / E(q)^12, the ratio of consecutive quotients over q
@@ -706,9 +694,9 @@ class SuiteReport:
     @property
     def status(self) -> str:
         """FAIL on any error report (a job its case refused) and on any failed
-        gating report, one that is not an open statement's; else PASS if a
-        gating report ran, else SKIPPED."""
-        gating = [r for r in self.reports if not r.extras.get("conjecture")]
+        gating report (`Report.gates`); else PASS if a gating report ran,
+        else SKIPPED."""
+        gating = [r for r in self.reports if r.gates]
         failed = any("error" in r.extras for r in self.reports) or any(r.status == FAIL for r in gating)
         ran = any(r.status != SKIPPED for r in gating)
         return FAIL if failed else PASS if ran else SKIPPED
@@ -778,7 +766,7 @@ def _suite_jobs(cfg: SuiteConfig) -> list[tuple[str, str, dict, dict]]:
     return jobs
 
 
-def _error_report(job, exc: ValueError) -> Report:
+def _error_report(job, exc: ValueError | OverflowError) -> Report:
     _, jid, params, _ = job
     return Report(case=jid, params=dict(params), extras={"error": str(exc)})
 
@@ -789,7 +777,9 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
     Jobs run serially in the order of `_suite_jobs`, sorted by (kind, id,
     parameters); each engine's base grows to the deepest index read so
     far, so no coefficient is solved twice.  Reports come back sorted by
-    (case id, parameters).
+    (case id, parameters).  A job its case refuses, or one deeper than the
+    reduced engine's int64 guards allow (an OverflowError), becomes an
+    error report.
     """
     cfg = cfg or SuiteConfig()
     reports: list[Report] = []
@@ -801,7 +791,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> SuiteReport:
             else:
                 reports.append(verify_gf_identity(jid, params, cfg.identity_terms, opts["mode"],
                                                   cfg.identity_exact_cap))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             reports.append(_error_report(job, exc))
     reports.sort(key=lambda r: (r.case, json.dumps(r.params, sort_keys=True)))
     return SuiteReport(reports=reports)

@@ -18,6 +18,7 @@ import q3series
 from q3series import cli
 from q3series.cli import main
 from q3series.counts import CountingFunction, Kind
+from q3series.report import Report
 from q3series.series import TruncatedSeries
 from q3series.verifier import SuiteConfig, SuiteReport
 
@@ -319,6 +320,43 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "congruence", "--case", "MR19", "--alpha", "3",
                                "--beta", "0", "--nmax", "3", "--format", "text")
         assert (code, out) == (1, 'MR19 {"alpha":3,"beta":0,"n_max":3}: SKIPPED\n')
+
+    def test_too_deep_check_exit_2(self, capsys):
+        # the reduced base would reach 1.39e9, past the int64 guards of modseries;
+        # the guard trips before any large allocation
+        code, out, err = run_cli(capsys, "verify", "congruence", "--case", "MR1", "--alpha", "4",
+                                 "--beta", "4", "--nmax", "10")
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1
+        assert err.startswith("error: accumulator bound exceeded: 52692 terms")
+
+    def test_too_deep_suite_job_is_an_error_report(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alphas": [4], "betas": [4], "include": ["MR1"],
+                                    "n_max": 10, "n_max_small": 10}))
+        code, out, err = run_cli(capsys, "verify", "suite", "--config", str(path))
+        data = json.loads(out)
+        assert (code, err, data["status"]) == (1, "", "FAIL")
+        [rep] = data["reports"]
+        assert rep["params"] == {"alpha": 4, "beta": 4}
+        assert rep["error"].startswith("accumulator bound exceeded: 52692 terms")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("congruence", "--case", "MR99", "--alpha", "0", "--nmax", "3"), "unknown case 'MR99'"),
+        (("identity", "--id", "X9"), "unknown identity 'X9'"),
+    ])
+    def test_unknown_id_exit_2(self, capsys, argv, message):
+        assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+
+    def test_text_line_alone_and_in_suite(self, monkeypatch, capsys):
+        # one hand-built report with ell past 2^53: both commands print the same line
+        rep = Report("MR7", {"alpha": 0, "beta": 0, "ell": 3**35, "n_max": 5}, checked=6)
+        monkeypatch.setattr(cli, "verify_congruence", lambda *args: rep)
+        monkeypatch.setattr(cli, "run_suite", lambda cfg: SuiteReport([rep]))
+        _, single, _ = run_cli(capsys, "verify", "congruence", "--case", "MR7", "--alpha", "0",
+                               "--beta", "0", "--ell", str(3**35), "--nmax", "5", "--format", "text")
+        _, suite, _ = run_cli(capsys, "verify", "suite", "--format", "text")
+        line = 'MR7 {"alpha":0,"beta":0,"ell":"50031545098999707","n_max":5}: PASS'
+        assert single.splitlines() == [line] and suite.splitlines() == [line, "overall: PASS"]
 
     def test_open_statement_alone_exits_0(self, capsys):
         # the same check as one command gates nothing, so it exits 0

@@ -7,11 +7,12 @@ equal it, in order, on every config the reference can build.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from q3series.report import SKIPPED
+from q3series.report import FAIL, PASS, SKIPPED
 from q3series.verifier import (_CASE_BY_ID, SuiteConfig, _pow3, _suite_jobs, catalog,
                                class_members, run_suite)
 
@@ -88,32 +89,28 @@ def reference_jobs(cfg: SuiteConfig) -> list[tuple[str, str, dict, dict]]:
     return jobs
 
 
-_NO_OTHER_GRIDS = dict(primes_3mod4=(), primes_nonresidue=(), prime_ks=(), prime_alphas=(),
-                  prime_betas=(), priors_betas=(), conjecture_ks=(), conjecture_ms=())
-
-# the benchmark's three workloads, with the sha256 of their suite JSON
+# the benchmark's three workloads, read from its own configs, with the sha256 of their suite JSON
+CONFIGS = Path(__file__).parent.parent / "perfbench" / "configs"
 SHAPED = {
-    "reduced-deep": (SuiteConfig(alphas=(1,), betas=(1,), n_max=46, class_reps_per_sign=1,
-                                 include=("MR13", "MR14", "MR18", "MR24"), **_NO_OTHER_GRIDS),
-                     "c8e78d02194842284d3b89a237f1b693806fbbc5bd687989c5afad1cfbdf35dd"),
-    "exact-grid": (SuiteConfig(betas=(0,), priors_betas=(0,), include=tuple(CASE_IDS)),
-                   "bc1976d0239326dc22a4cf9da75acecd43947dfdf2ff4428610e5c68b9aeb8a7"),
-    "identity-windows": (SuiteConfig(betas=(0,), class_reps_per_sign=1, identity_terms=100,
-                                     include=tuple(IDENTITY_IDS), **_NO_OTHER_GRIDS),
-                         "2202f8111510ea98aa688d1c73f43c4a8267e296c9e5feb3b23eca3c3029d245"),
+    "reduced-deep": "c8e78d02194842284d3b89a237f1b693806fbbc5bd687989c5afad1cfbdf35dd",
+    "exact-grid": "bc1976d0239326dc22a4cf9da75acecd43947dfdf2ff4428610e5c68b9aeb8a7",
+    "identity-windows": "2202f8111510ea98aa688d1c73f43c4a8267e296c9e5feb3b23eca3c3029d245",
 }
+
+
+def shaped(name: str) -> SuiteConfig:
+    return SuiteConfig.from_json((CONFIGS / f"{name}.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(SHAPED))
 def test_perfbench_digest(name):
-    cfg, sha256 = SHAPED[name]
-    text = "".join(run_suite(cfg).json_pieces())
-    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+    text = "".join(run_suite(shaped(name)).json_pieces())
+    assert hashlib.sha256(text.encode()).hexdigest() == SHAPED[name]
 
 
 @pytest.mark.parametrize("name", ["default"] + sorted(SHAPED))
 def test_derived_jobs_match_reference(name):
-    cfg = SuiteConfig() if name == "default" else SHAPED[name][0]
+    cfg = SuiteConfig() if name == "default" else shaped(name)
     assert _suite_jobs(cfg) == reference_jobs(cfg)
 
 
@@ -152,3 +149,16 @@ def test_rejected_parameters_become_error_reports():
         assert {r.extras["error"] for r in reps} == {f"{cid}: k=0 must be at least 1"}
     mr1 = [r for r in suite.reports if r.case == "MR1"]
     assert len(mr1) == 4 and all("error" not in r.extras for r in mr1)
+
+
+def test_too_deep_job_becomes_error_report():
+    # MR1 at alpha = beta = 4 reads the reduced base to 1.39e9, past the int64
+    # guards of modseries: that job is refused, the run goes on
+    cfg = SuiteConfig.from_json('{"alphas": [0, 4], "betas": [4], "include": ["MR1"], '
+                                '"n_max": 10, "n_max_small": 10}')
+    suite = run_suite(cfg)
+    shallow, deep = suite.reports
+    assert shallow.params == {"alpha": 0, "beta": 4, "n_max": 10} and shallow.status == PASS
+    assert deep.params == {"alpha": 4, "beta": 4} and deep.status == SKIPPED
+    assert deep.extras["error"].startswith("accumulator bound exceeded: 52692 terms")
+    assert suite.status == FAIL

@@ -508,6 +508,15 @@ class TestBranchCase:
         rep = verify_congruence("MR10", {"alpha": 0, "beta": 0, "ell": 6}, 30)
         assert rep.extras["fitted_constant"] == "9"
 
+    def test_open_statement_flag_reaches_branch_report(self):
+        # one function writes every congruence report, the two-branch rule included
+        params = {"alpha": 0, "beta": 0, "ell": 3}
+        record = dataclasses.replace(verifier._CASE_BY_ID["MR10"], conjecture=True)
+        rep = verifier._check_instance(record.instantiate(params), 30, verifier._EXACT_THRESHOLD)
+        d = rep.to_dict()
+        assert d.pop("conjecture") is True and not rep.gates
+        assert d == verify_congruence("MR10", params, 30).to_dict()
+
     def test_negative_range_refused(self):
         # a range of no index would fit no constant and report SKIPPED
         with pytest.raises(ValueError, match=r"^MR10: n_max=-1 must be at least 1$"):
