@@ -10,11 +10,10 @@ Definitions, as ordinary generating functions:
 All three are the base 1/E(q)^3 times or divided by E(q^l)^3.  The exact
 engine keeps that base in big integers, the reduced one mod 3^15, and
 neither keeps anything else: `values_at` reads coefficients off the base
-(short sums, or for exact two-color triples one back-substitution per
-residue class mod l), `count_values(_mod)` expand in full.  The tests
-hold the independent oracle for small n, an unbounded-knapsack
-enumerator over colored parts (`tests/oracles.py`) that shares no code
-with the series route.
+by the same short sums in either engine, `count_values(_mod)` expand in
+full.  The tests hold the independent oracle for small n, an
+unbounded-knapsack enumerator over colored parts (`tests/oracles.py`)
+that shares no code with the series route.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
+from operator import mul
 
 import numpy as np
 
@@ -71,6 +72,8 @@ def _base(order: int, exact: bool):
             extend_monic_sparse(jacobi_cube_terms(1, order), (1,), _inv_cube, order)
         return _inv_cube
     if len(_mod_base) < order:
+        # the accumulator bound before any term is built, on the count of n >= 1 with n(n+1)/2 < order
+        modseries._check_overflow((isqrt(8 * order - 7) - 1) // 2, _MOD)
         _mod_base = modseries.extend_monic_sparse_mod(jacobi_cube_terms(1, order), (1,),
                                                       _mod_base, order, _MOD)
         _mod_base.setflags(write=False)
@@ -110,16 +113,11 @@ def count_values_mod(fn: CountingFunction, order: int) -> np.ndarray:
 def values_at(fn: CountingFunction, indices, exact: bool) -> list[int]:
     """Coefficients at `indices`, read off the base expanded to the largest.
 
-    P3 is the base; the regular triple sums the cube terms (g, c) of
-    E(q^l)^3, T_l[i] = sum c * base[i - g].  The two-color triple divides
-    the base by E(q^l)^3, whose gaps are multiples of l, so no residue
-    class mod l mixes with another.  Exact reads solve, for each class r
-    read, Q_r * E(x)^3 = base[r::l] by back-substitution (big integers times
-    small cube coefficients) to the deepest index read in that class; the
-    rows are dropped with the call, nothing is cached.  Reduced reads keep
-    the product sum p_{l,3}[i] = sum_k base[k] * base[i - l*k]: an int64
-    product of residues costs no more than a small one, and a class solve
-    through the numpy kernel was slower.  Reduced sums (mod
+    P3 is the base.  The regular triple sums the cube terms (g, c) of
+    E(q^l)^3, T_l[i] = sum c * base[i - g]: exactly index by index, on
+    residues one gathered term at a time over every index.  The two-color
+    triple is the product sum p_{l,3}[i] = sum_k base[k] * base[i - l*k]
+    in both engines.  Nothing but the base is kept.  Reduced sums (mod
     3^STANDARD_EXPONENT) reduce each int64 product of two residues first,
     so they need (mod-1)^2 + order * mod < 2^63 (checked).
     """
@@ -128,23 +126,16 @@ def values_at(fn: CountingFunction, indices, exact: bool) -> list[int]:
     base = _base(order, exact)
     if fn.kind is Kind.P3:
         return [int(base[i]) for i in indices]
-    if exact and fn.kind is Kind.TWO_COLOR_TRIPLE:
-        ell, depth = fn.ell, {}
-        for i in indices:
-            depth[i % ell] = max(depth.get(i % ell, 0), i // ell + 1)
-        rows = {r: solve_monic_sparse(jacobi_cube_terms(1, j), base[r:r + ell * j:ell], j)
-                for r, j in depth.items()}
-        return [rows[i % ell][i // ell] for i in indices]
+    if not exact and (_MOD - 1) ** 2 + order * _MOD >= 2**63:
+        raise OverflowError(f"residue products overflow int64 at order {order}; lower alpha, beta or n_max")
+    if fn.kind is Kind.TWO_COLOR_TRIPLE:
+        return [sum(map(mul, a, b)) if exact else int((a * b % _MOD).sum()) % _MOD
+                for a, b in ((base[:i // fn.ell + 1], base[i::-fn.ell]) for i in indices)]
+    terms = jacobi_cube_terms(fn.ell, order)
     if exact:  # the gaps ascend, so the terms with g <= i are a prefix
-        terms = jacobi_cube_terms(fn.ell, order)
         gaps = [g for g, _ in terms]
         return [sum(c * base[i - g] for g, c in terms[:bisect_right(gaps, i)]) for i in indices]
-    if (_MOD - 1) ** 2 + order * _MOD >= 2**63:
-        raise OverflowError(f"residue products overflow int64 at order {order}, modulus {_MOD}")
-    if fn.kind is Kind.TWO_COLOR_TRIPLE:
-        pairs = ((base[:i // fn.ell + 1], base[i::-fn.ell]) for i in indices)
-    else:
-        gaps, coeffs = np.array(jacobi_cube_terms(fn.ell, order), dtype=np.int64).T
-        reach = np.searchsorted(gaps, indices, side="right")
-        pairs = ((coeffs[:m] % _MOD, base[i - gaps[:m]]) for i, m in zip(indices, reach))
-    return [int((w * v % _MOD).sum()) % _MOD for w, v in pairs]
+    at, total = np.array(indices, dtype=np.int64), np.zeros(len(indices), dtype=np.int64)
+    for g, c in terms:  # base[at - g] wraps below g; np.where drops those
+        total += np.where(at >= g, c % _MOD * base[at - g] % _MOD, 0)
+    return (total % _MOD).tolist()

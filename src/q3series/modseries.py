@@ -12,8 +12,9 @@ block of L residues with L residues of an inverse, so L * (mod-1)^2 < 2^63;
 at E = 15 that allows L up to ~44700.  Both are checked, and a failure
 raises OverflowError, which the command line reports as a refused request
 (exit 2) and a suite as an error report.  At E = 15 a base of 1/E(q)^3
-past about 1.0e9 coefficients (MR1 at alpha = beta = 4) trips the first;
-the default grids stay far below.  The blocked solve keeps its
+past about 1.0e9 coefficients (MR1 at alpha = beta = 4) trips the first
+(`counts` checks it before it builds the terms); the default grids stay
+far below.  The blocked solve keeps its
 accumulator in the unsolved tail of the array it returns, starting from
 the right-hand side reduced to residues.  Each slice update reads
 positions before the current block and writes positions from the block's
@@ -105,20 +106,20 @@ def _solve_blocked(gaps, coeffs, b, mod, k=0, block=None):
 
 
 def _prepare(terms, mod):
+    _check_overflow(len(terms), mod)
     gaps = np.array([g for g, _ in terms], dtype=np.int64)
     coeffs = np.array([c % mod for _, c in terms], dtype=np.int64)
-    _check_overflow(len(terms), mod)
     return gaps, coeffs
 
 
 def _check_overflow(nterms: int, mod: int, block: int = 0) -> None:
     if mod + nterms * (mod - 1) ** 2 >= 2**63:
         raise OverflowError(
-            f"accumulator bound exceeded: {nterms} terms at modulus {mod}; reduce the exponent"
+            f"accumulator bound exceeded: {nterms} terms at modulus {mod}; lower alpha, beta or n_max"
         )
     if block * (mod - 1) ** 2 >= 2**63:
         raise OverflowError(
-            f"convolution bound exceeded: block length {block} at modulus {mod}; reduce the exponent"
+            f"convolution bound exceeded: block length {block} at modulus {mod}; lower alpha, beta or n_max"
         )
 
 

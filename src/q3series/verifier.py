@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
@@ -387,21 +388,35 @@ _REDUCED_ENGINE = f"reduced(3^{STANDARD_EXPONENT})"
 IDENTITY_MODES = ("exact", "mod", "auto")
 
 
-def _scan(deviations: list[int], capped: bool) -> tuple[list[int | None], int | None, bool]:
-    """(valuations, holds, hit_cap) of the deviations from a claim.
+def _read(fn: CountingFunction, indices: list[int], wants, exact: bool, required: int | None,
+          shows_values: bool = False) -> tuple[list[int], list[int | None], int | None, bool]:
+    """(values, valuations, holds, hit_cap) of a claim that fn at `indices`
+    takes the values `wants(values)`, up to 3^required (None: exactly).
 
     Each valuation is pi3 of one deviation, None for a zero; `holds` is
-    the least of them, the largest exponent the claim holds to.  Capped
-    deviations are known only mod 3^_RESIDUE_CAP, where a zero means "at
-    least the cap": if only zeros were seen, `holds` is the cap and
-    `hit_cap` is set.
+    the least of them, the largest exponent the claim holds to.  Residues
+    mod 3^_RESIDUE_CAP come first: a nonzero one has the integer's
+    valuation.  On the exact engine (`exact`) integers are read where they
+    cannot stand in: at once if `required` is None or above the cap, as a
+    valuation from the cap up fails but reads zero; again if every
+    deviation reads zero; at the failing indices if the report shows their
+    values.  Off residues, a zero means "at least the cap": if only zeros
+    were seen, `holds` is the cap and `hit_cap` is set.
     """
-    if capped:
-        deviations = [d % 3**_RESIDUE_CAP for d in deviations]
-    valuations = [pi3(d) for d in deviations]
+    exact_read = exact and (required is None or required > _RESIDUE_CAP)
+    values = values_at(fn, indices, exact_read)
+    valuations = [pi3(d if exact_read else d % 3**_RESIDUE_CAP)
+                  for d in map(operator.sub, values, wants(values))]
+    if exact and not exact_read and all(v is None for v in valuations):
+        exact_read, values = True, values_at(fn, indices, True)
+        valuations = list(map(pi3, map(operator.sub, values, wants(values))))
+    elif exact and shows_values and not exact_read:
+        bad = [i for i, v in enumerate(valuations) if v is not None and v < required]
+        for i, v in zip(bad, values_at(fn, [indices[i] for i in bad], True) if bad else ()):
+            values[i] = v
     finite = [v for v in valuations if v is not None]
-    hit_cap = capped and bool(deviations) and not finite
-    return valuations, min(finite, default=_RESIDUE_CAP if hit_cap else None), hit_cap
+    hit_cap = not exact_read and bool(valuations) and not finite
+    return values, valuations, min(finite, default=_RESIDUE_CAP if hit_cap else None), hit_cap
 
 
 def _settle(rep: Report, hit_cap: bool, required: int) -> Report:
@@ -450,7 +465,8 @@ def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Rep
     then follow c * (-1)^n (2n+1), elsewhere vanish, all read modulo
     3^exponent.  Its report names the fitted constant, whether the bare
     branch (c = 1) also holds, and the largest exponent at which the
-    branch structure survives.
+    branch structure survives.  `engine` names the base that is
+    authoritative for the index range; `_read` says where it is read.
     """
     record, e = inst.record, inst.exponent
     # a branch case fits its constant at n = 0, and a prime filter (p not
@@ -461,17 +477,19 @@ def _check_instance(inst: CaseInstance, n_max: int, exact_threshold: int) -> Rep
         raise ValueError(f"{record.id}: n_max={n_max} must be at least {least}")
     exact = inst.progression.index(n_max) < exact_threshold
     ns = [n for n in range(n_max + 1) if not filter_p or n % inst.params["p"]]
-    values = values_at(inst.fn, map(inst.progression.index, ns), exact)
-    deviations, holds_key, branch = values, "holds_to_exponent", {}
+
+    def wants(values):  # 0, or for a branch record c (-1)^n (2n+1) on triangular n, c fitted at n = 0
+        const = values[0] if record.branch else 0
+        return [const * (2 * n + 1) * (-1) ** n if _is_triangular(n) else 0 for n in ns]
+    values, valuations, holds, hit_cap = _read(inst.fn, list(map(inst.progression.index, ns)), wants,
+                                               exact, e, shows_values=not record.branch)
+    holds_key, branch = "holds_to_exponent", {}
     shown = lambda i: {"value": str(values[i])}  # what a failure at the i-th index shows
     if record.branch:
-        mod, const = 3**e, values[0]
-        wants = [const * (2 * n + 1) * (-1) ** n if _is_triangular(n) else 0 for n in ns]
-        deviations = [v - w for v, w in zip(values, wants)]
-        shown = lambda i: {"value": str(values[i] % mod), "expected": str(wants[i] % mod)}
+        mod, expected = 3**e, wants(values)
+        shown = lambda i: {"value": str(values[i] % mod), "expected": str(expected[i] % mod)}
         holds_key = "branch_holds_to_exponent"
-        branch = {"fitted_constant": str(const % mod), "plain_branch_holds": const % mod == 1}
-    valuations, holds, hit_cap = _scan(deviations, not exact)
+        branch = {"fitted_constant": str(values[0] % mod), "plain_branch_holds": values[0] % mod == 1}
     failures = [{"n": n, **shown(i), "valuation": val, "required": e}
                 for i, (n, val) in enumerate(zip(ns, valuations)) if val is not None and val < e]
     extras = _extras(inst.fn, inst.progression, modulus_exponent=e,
@@ -544,7 +562,7 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     equality (`exact_checked`).  A nonzero residue of the difference
     mod 3^_RESIDUE_CAP already shows inequality, and with it every field
     an exact read gives, so "auto" reads the exact engine only when every
-    residue agrees or lemma_exponent exceeds _RESIDUE_CAP.
+    residue agrees or lemma_exponent exceeds _RESIDUE_CAP (`_read`).
     Any other mode is a ValueError.  The observed minimum valuation of
     the difference is reported either way, so the answer to "equality or
     congruence, and to what power?" is part of every report.  A reduced
@@ -560,20 +578,9 @@ def verify_gf_identity(identity_id: str, params: dict, terms: int = 30,
     rep = Report(case=identity_id, params=dict(params) | {"terms": terms, "mode": mode},
                  checked=terms)
     rhs = _rhs_window(identity, identity.level(params), params["alpha"], terms)
-    indices = [prog.index(n) for n in range(terms)]
-
-    def read(exact_read: bool):
-        lhs = values_at(fn, indices, exact_read)
-        return (lhs, *_scan([a - b for a, b in zip(lhs, rhs)], not exact_read))
-
-    # "auto" reads residues first.  A nonzero one has a valuation below the
-    # cap, so the least valuation, `bad` and each failure read the same as
-    # exactly, unless lemma_e exceeds the cap: an exact valuation in
-    # [cap, lemma_e) reads zero but fails, so that read is exact at once.
-    lhs, valuations, diff_min, hit_cap = read(exact and (mode == "exact" or lemma_e > _RESIDUE_CAP))
-    if exact and hit_cap:  # every residue agrees: only the exact read tells equality
-        lhs, valuations, diff_min, hit_cap = read(True)
-    # residues that stopped the read differ from rhs mod 3^_RESIDUE_CAP, so
+    lhs, valuations, diff_min, hit_cap = _read(fn, [prog.index(n) for n in range(terms)],
+                                               lambda _: rhs, exact, None if mode == "exact" else lemma_e)
+    # residues that decided the read differ from rhs mod 3^_RESIDUE_CAP, so
     # they differ from rhs as integers too and exact_equal reads False
     exact_equal = tuple(lhs) == rhs if exact else None
     mod_ok = None

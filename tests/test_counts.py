@@ -148,8 +148,8 @@ class TestPointValues:
 
     @pytest.mark.parametrize("ell", [1, 3, 12, 33, 81])
     def test_two_color_deep_reads_match_product_sums(self, ell):
-        # the exact two-color read solves one row per class mod l; the oracle
-        # is the product sum p_{l,3}[i] = sum_k base[k] * base[i - l*k]
+        # deep reads in every class mod l against the product sum
+        # p_{l,3}[i] = sum_k base[k] * base[i - l*k], written out here
         fn = CountingFunction(Kind.TWO_COLOR_TRIPLE, ell)
         indices = [5003, 4999, 4871, 5003, 4901 + ell, 4998, 4999 - ell, ell - 1, 0, ell // 2, 4999]
         assert len({i % ell for i in indices}) >= min(ell, 4)
@@ -195,3 +195,38 @@ class TestPointValues:
         monkeypatch.setattr(counts, "_MOD", 3**20)  # (3^20 - 1)^2 >= 2^63
         with pytest.raises(OverflowError):
             values_at(fn, [5], False)
+
+    @pytest.mark.parametrize("ell", [1, 2, 5, 27, 81])
+    def test_term_major_reduced_read(self, ell):
+        # the reduced regular-triple read gathers one cube term at a time over
+        # every index: unsorted, repeated, 0 and indices below the first gap l
+        fn = CountingFunction(Kind.REGULAR_TRIPLE, ell)
+        order = 40 * ell + 7
+        indices = [order - 1, 0, ell - 1, 3 * ell, 0, ell // 2, order - 1, ell, 2 * ell + 1, ell - 1]
+        exact = count_values(fn, order)
+        assert values_at(fn, indices, False) == [exact[i] % counts._MOD for i in indices]
+
+
+class TestReducedBaseRefusal:
+    """The reduced base's accumulator bound is checked on the number of cube
+    terms below the order, before any term is built."""
+
+    def test_counts_the_terms_it_would_build(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(modseries, "_check_overflow", lambda nterms, mod, block=0: seen.append(nterms))
+        for order in [*range(2, 60), 1000, 1001, 1035, 1036, 99_999]:
+            seed = np.ones(1, dtype=np.int64)
+            seed.setflags(write=False)
+            monkeypatch.setattr(counts, "_mod_base", seed)
+            seen.clear()
+            counts._base(order, False)
+            assert seen[0] == len(jacobi_cube_terms(1, order)) - 1, order
+
+    def test_too_deep_read_builds_no_term(self, monkeypatch):
+        # MR1 at alpha = beta = 6 would read the base to 8.5e12
+        built = []
+        monkeypatch.setattr(counts, "jacobi_cube_terms", lambda *a: built.append(a) or [])
+        monkeypatch.setattr(modseries, "_prepare", lambda *a: built.append(a))
+        with pytest.raises(OverflowError, match="^accumulator bound exceeded: .*lower alpha, beta or n_max$"):
+            q3series.verify_congruence("MR1", {"alpha": 6, "beta": 6}, 10)
+        assert built == []

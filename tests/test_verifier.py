@@ -18,7 +18,7 @@ from q3series import cli, counts, modseries, vectors, verifier
 from q3series.arith3 import pi3
 from q3series.counts import Kind
 from q3series.eta import EtaQuotientSpec, eta_quotient
-from q3series.report import FAIL, PASS, SKIPPED, Report
+from q3series.report import FAIL, PASS, SKIPPED, Report, dumps
 from q3series.series import TruncatedSeries
 from q3series.vectors import Family, family_vector, valuation_bound
 from q3series.verifier import (SuiteConfig, SuiteReport, _exact_div, catalog, class_members,
@@ -1109,11 +1109,78 @@ class TestSuiteJson:
         assert peak < sink.size / 4
 
 
+EXACT_GRID = Path(__file__).parent.parent / "perfbench" / "configs" / "exact-grid.json"
+
+
+class TestReadRule:
+    """Residues decide; the exact engine is read only where a report prints
+    an integer, or where every residue reads zero."""
+
+    @pytest.fixture
+    def reads(self, cold_state, monkeypatch):
+        """Every values_at call of the verifier, as (indices, exact)."""
+        calls, values_at = [], verifier.values_at
+
+        def spy(fn, indices, exact):
+            indices = list(indices)
+            calls.append((indices, exact))
+            return values_at(fn, indices, exact)
+
+        monkeypatch.setattr(verifier, "values_at", spy)
+        return calls
+
+    def test_passing_check_reads_no_integer(self, reads):
+        rep = verify_congruence("MR22", {"alpha": 0, "beta": 0, "ell": 3}, 100)
+        assert rep.status == PASS and rep.extras["engine"] == "exact"
+        assert [exact for _, exact in reads] == [False]
+        assert counts._inv_cube == []
+
+    def test_failing_check_reads_integers_at_its_failures(self, reads):
+        rep = verify_congruence("MR22", {"alpha": 1, "beta": 0, "ell": 297}, 100)
+        assert rep.status == FAIL and rep.extras["engine"] == "exact"
+        prog = instantiate("MR22", {"alpha": 1, "beta": 0, "ell": 297}).progression
+        failing = [prog.index(f["n"]) for f in rep.failures]
+        assert [exact for _, exact in reads] == [False, True] and reads[1][0] == failing
+        assert len(failing) < rep.checked and len(counts._inv_cube) == max(failing) + 1
+
+    def test_all_zero_residues_read_exactly(self, monkeypatch):
+        # deviations of valuation 16 and 17 read zero mod 3^15: only the exact
+        # read gives holds_to_exponent, not the capped 15
+        exact_values = [3**16, 2 * 3**17, 3**16 * 5]
+        reads = []
+
+        def spy(fn, indices, exact):
+            indices = list(indices)
+            reads.append(exact)
+            return [exact_values[i % 3] if exact else exact_values[i % 3] % 3**15 for i in indices]
+
+        monkeypatch.setattr(verifier, "values_at", spy)
+        rep = verify_congruence("MR1", {"alpha": 0, "beta": 0}, 2)
+        assert reads == [False, True]
+        assert rep.status == PASS and rep.extras["engine"] == "exact"
+        assert rep.extras["holds_to_exponent"] == 16 and rep.extras["exponent_capped"] is False
+
+    @pytest.mark.parametrize("config", ["golden", "golden-reduced", "exact-grid"])
+    def test_reports_equal_their_exact_twins(self, monkeypatch, config):
+        # the twin reads the exact engine at once wherever the engine is exact
+        cfg = {"golden": lambda: SuiteConfig(**TestSuite.CFG),
+               "golden-reduced": lambda: SuiteConfig(**TestSuite.CFG, exact_threshold=200,
+                                                     identity_exact_cap=200),
+               "exact-grid": lambda: SuiteConfig.from_json(EXACT_GRID.read_text())}[config]()
+        reports = run_suite(cfg).reports
+        read = verifier._read
+        monkeypatch.setattr(verifier, "_read", lambda fn, indices, wants, exact, required, **kw:
+                            read(fn, indices, wants, exact, None if exact else required, **kw))
+        twins = run_suite(cfg).reports
+        assert len(reports) == len(twins) > 60
+        for rep, twin in zip(reports, twins):
+            assert dumps(rep.to_dict()) == dumps(twin.to_dict())
+
+
 class TestSuiteReadsPoints:
-    """run_suite reads coefficients off the shared bases: it expands no key
-    and solves each reduced coefficient once.  The one kernel call allowed
-    is the exact two-color read's solve of one residue class mod l against
-    the stride-1 cube, no deeper than the deepest index of the read it serves."""
+    """run_suite reads coefficients off the shared bases: it expands no key,
+    makes no sparse-kernel call outside the bases' growth, and solves each
+    reduced coefficient once."""
 
     # keys at orders up to 963; those above 500 read the reduced engine
     CFG = dict(alphas=(0, 1), betas=(0,), n_max=3, n_max_small=6, priors_betas=(0,), priors_n_max=6,
@@ -1122,35 +1189,23 @@ class TestSuiteReadsPoints:
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """A cold reduced base; every sparse kernel call is logged as
-        (kernel, l, order, read), read being the exact (fn, deepest index)
-        that values_at is reading, or None."""
+        """A cold reduced base; every sparse kernel call is logged by name."""
         seed = np.ones(1, dtype=np.int64)
         seed.setflags(write=False)
         monkeypatch.setattr(counts, "_mod_base", seed)
-        calls, reading, values_at = [], [None], verifier.values_at
+        calls = []
 
-        def logged(name, kernel, terms_at):
+        def logged(name, kernel):
             def run(*args):
-                terms = args[terms_at]
-                calls.append((name, terms[1][0] if len(terms) > 1 else None, args[2], reading[0]))
+                calls.append(name)
                 return kernel(*args)
             return run
 
-        def read(fn, indices, exact):
-            indices = list(indices)
-            reading[0] = (fn, max(indices, default=0)) if exact else None
-            try:
-                return values_at(fn, indices, exact)
-            finally:
-                reading[0] = None
-
-        monkeypatch.setattr(verifier, "values_at", read)
-        monkeypatch.setattr(counts, "mul_sparse", logged("mul", counts.mul_sparse, 1))
-        monkeypatch.setattr(counts, "solve_monic_sparse", logged("solve", counts.solve_monic_sparse, 0))
-        monkeypatch.setattr(modseries, "mul_sparse_mod", logged("mod-mul", modseries.mul_sparse_mod, 1))
+        monkeypatch.setattr(counts, "mul_sparse", logged("mul", counts.mul_sparse))
+        monkeypatch.setattr(counts, "solve_monic_sparse", logged("solve", counts.solve_monic_sparse))
+        monkeypatch.setattr(modseries, "mul_sparse_mod", logged("mod-mul", modseries.mul_sparse_mod))
         monkeypatch.setattr(modseries, "solve_monic_sparse_mod",
-                            logged("mod-solve", modseries.solve_monic_sparse_mod, 0))
+                            logged("mod-solve", modseries.solve_monic_sparse_mod))
         return calls
 
     def functions_by_engine(self):
@@ -1160,19 +1215,13 @@ class TestSuiteReadsPoints:
             engines.setdefault(r.extras.get("engine", "exact"), set()).add(r.extras["function"])
         return engines
 
-    def assert_class_solves_only(self, kernel_calls):
-        assert kernel_calls
-        for name, stride, order, read in kernel_calls:
-            assert name == "solve" and read is not None
-            fn, deepest = read
-            assert fn.kind is Kind.TWO_COLOR_TRIPLE
-            assert stride == (1 if order > 1 else None)
-            assert order <= deepest // fn.ell + 1
+    def assert_no_kernel_call(self, kernel_calls):
+        assert kernel_calls == []
 
     def test_no_key_expanded(self, kernel_calls):
         engines = self.functions_by_engine()
         assert len(engines["exact"] - {"p3"}) > 12 and len(engines["reduced(3^15)"]) >= 2
-        self.assert_class_solves_only(kernel_calls)
+        self.assert_no_kernel_call(kernel_calls)
 
     def test_reduced_base_solved_once(self, kernel_calls, monkeypatch):
         # each reduced coefficient is solved once: the base grows from its
@@ -1186,7 +1235,7 @@ class TestSuiteReadsPoints:
 
         monkeypatch.setattr(modseries, "extend_monic_sparse_mod", spy)
         self.functions_by_engine()
-        self.assert_class_solves_only(kernel_calls)
+        self.assert_no_kernel_call(kernel_calls)
         assert spans[0][0] == 1 and spans[-1][1] == 963
         assert all(start < end for start, end in spans)
         assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
